@@ -129,7 +129,9 @@ def cmd_separation(args) -> int:
     ifs = _load_ifs(args.ifs)
     cert = ssc_gap(ifs, args.depth)
     if cert.kind == "none":
-        cert = check_osc_hull(ifs) if check_osc_hull(ifs).kind != "none" else cert
+        osc = check_osc_hull(ifs)
+        if osc.kind != "none":
+            cert = osc
     cfg = {"ifs": args.ifs, "depth": args.depth}
     result = {"kind": cert.kind, "gap": str(cert.gap), "witness": cert.witness}
     _emit(_json_doc("separation", cfg, result), args.out)

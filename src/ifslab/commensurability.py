@@ -10,15 +10,15 @@ is checked in exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
 import sympy
 
-from .errors import InvalidParameterError, UnsupportedError
+from .errors import InvalidParameterError, PreconditionError
 from .similarity import IFS, as_fraction
 
 # inputs whose numerator or denominator exceeds this many bits are not
@@ -65,12 +65,8 @@ def _exponent_vector(x: Fraction) -> Dict[int, int]:
     return {prime: e for prime, e in v.items() if e != 0}
 
 
-def log_commensurable(alpha, beta, q_max: int = 0) -> CommensurabilityResult:
-    """Decide whether log(alpha)/log(beta) is rational, exactly.
-
-    ``q_max`` is accepted for interface compatibility with a brute-force
-    fallback but the factorization path does not use it.
-    """
+def log_commensurable(alpha, beta) -> CommensurabilityResult:
+    """Decide whether log(alpha)/log(beta) is rational, exactly."""
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     for x in (alpha, beta):
         if not 0 < x < 1:
@@ -93,9 +89,11 @@ def log_commensurable(alpha, beta, q_max: int = 0) -> CommensurabilityResult:
                 "incommensurable",
                 certificate=(f"exponent mismatch between primes "
                              f"{primes[0]} and {prime}"))
-    assert r > 0
     p, q = r.numerator, r.denominator
-    assert alpha ** q == beta ** p, "parallel exponent vectors must verify"
+    if r <= 0 or alpha ** q != beta ** p:
+        raise PreconditionError(
+            f"parallel exponent vectors fail to verify ({beta})^{p} == "
+            f"({alpha})^{q}")
     return CommensurabilityResult(
         "rational", p, q, certificate=f"({beta})^{p} == ({alpha})^{q}")
 

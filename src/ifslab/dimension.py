@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import InvalidParameterError
-from .similarity import IFS, Interval, attractor_hull, compose, IDENTITY
+from .similarity import IFS, Interval, _walk, attractor_hull
 
 # depth-4 refinement is tried first, deepening to 12 while inconclusive,
 # subject to a cap on the number of refined intervals per map
@@ -57,10 +57,8 @@ def similarity_dimension(ifs: IFS) -> float:
 def _level_intervals(ifs: IFS, depth: int) -> List[Interval]:
     """Hull images of all words of exactly the given length, one level set."""
     hull = attractor_hull(ifs)
-    maps = [IDENTITY]
-    for _ in range(depth):
-        maps = [compose(g, phi) for g in maps for phi in ifs.maps]
-    return [g.apply(hull) for g in maps]
+    return [g.apply(hull) for _, g in
+            _walk(ifs, lambda word, _: len(word) == depth)]
 
 
 def _merge(intervals: List[Interval]) -> List[Interval]:

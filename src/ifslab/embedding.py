@@ -10,16 +10,15 @@ a proof.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import mpmath as mp
 import numpy as np
 
 from .commensurability import log_commensurable
-from .dimension import ssc_gap, _merge
+from .dimension import _distance_to_union, _merge, ssc_gap
 from .errors import (InvalidParameterError, PreconditionError, PrecisionError)
 from .similarity import (IFS, IDENTITY, Interval, Similarity, Word,
                          as_fraction, attractor_hull, compose, cylinder_cover)
@@ -74,14 +73,6 @@ class CoverageReport:
     distinct_gap_lengths: int
 
 
-def _union_hits(iv: Interval, union: List[Interval], los) -> bool:
-    j = bisect_right(los, iv.hi)
-    for k in (j - 1, j):
-        if 0 <= k < len(union) and iv.intersects(union[k]):
-            return True
-    return False
-
-
 def verify_embedding(g: Similarity, F: IFS, E: IFS, delta) -> EmbeddingVerdict:
     """Check g(F) subset of E down to resolution delta, with exact rejection.
 
@@ -98,7 +89,7 @@ def verify_embedding(g: Similarity, F: IFS, E: IFS, delta) -> EmbeddingVerdict:
     witness = None
     for word, iv in sorted(cover_f, key=lambda wi: wi[0]):
         img = g.apply(iv)
-        if not _union_hits(img, union, los):
+        if _distance_to_union(img, union, los) > 0:
             witness = (word, img)
             break
     if witness is None:
@@ -167,11 +158,10 @@ def _locate_unique_cylinder(E: IFS, hull: Interval, target: Interval,
     return tuple(word), cur
 
 
-def _family(g: Similarity, F: IFS, E: IFS, alpha: Fraction, index: int,
-            n_max: int, delta0: Fraction,
-            image_map, self_embedding: bool) -> RenormalizationFamily:
-    """Shared renormalization pipeline; ``image_map(n)`` must return the
-    exact similarity whose hull image is contained in E for each n."""
+def _family(g: Similarity, F: IFS, E: IFS, phi: Similarity, index: int,
+            n_max: int, delta0: Fraction) -> RenormalizationFamily:
+    """Shared renormalization pipeline: for each n the image
+    g(phi^n(hull F)) is trapped in a unique cylinder of E and rescaled."""
     if not E.homogeneous():
         raise PreconditionError(
             "hypothesis violated: the target IFS must be homogeneous")
@@ -180,6 +170,7 @@ def _family(g: Similarity, F: IFS, E: IFS, alpha: Fraction, index: int,
         raise PreconditionError(
             "hypothesis violated: no certified SSC gap for the target IFS")
     kappa = cert.gap
+    alpha = phi.ratio
     gamma, b = g.ratio, g.translation
     base = verify_embedding(g, F, E, delta0)
     if base.status != "consistent":
@@ -205,19 +196,19 @@ def _family(g: Similarity, F: IFS, E: IFS, alpha: Fraction, index: int,
     eta_lo, eta_hi = beta ** (p + 1) * gamma, beta ** p * gamma
 
     entries: List[RenormEntry] = []
-    for n in range(N + 1, n_max + 1):
+    comp = IDENTITY
+    for n in range(1, n_max + 1):
+        comp = compose(comp, phi)           # phi^n
+        if n <= N:
+            continue
         l_n, frac, frac_exact = ratio.split(n)
         d = l_n - p
-        assert d >= 0, "l_n < p inside the admissible range"
-        comp = image_map(n)                 # (alpha^n, e_n) or g^{n+1}
-        img = g.apply(comp.apply(hull_f)) if not self_embedding \
-            else comp.apply(hull_f)
+        if d < 0:
+            raise PreconditionError(
+                f"n={n}: l_n < p inside the admissible range")
+        img = g.apply(comp.apply(hull_f))
         word, psi = _locate_unique_cylinder(E, hull_e, img, d)
-        r_n = psi.translation
-        if self_embedding:
-            t_n = (comp.translation - r_n) / psi.ratio
-        else:
-            t_n = (gamma * comp.translation + b - r_n) / psi.ratio
+        t_n = (gamma * comp.translation + b - psi.translation) / psi.ratio
         if frac_exact == 0:
             eta_exact: Optional[Fraction] = beta ** p * gamma
             eta = float(eta_exact)
@@ -228,10 +219,16 @@ def _family(g: Similarity, F: IFS, E: IFS, alpha: Fraction, index: int,
                             mp.power(mp.mpf(beta.numerator) / beta.denominator,
                                      p + mp.mpf(frac)))
         if eta_exact is not None:
-            assert eta_lo <= eta_exact <= eta_hi
+            eta_ok = eta_lo <= eta_exact <= eta_hi
         else:
-            assert float(eta_lo) - 1e-12 <= eta <= float(eta_hi) + 1e-12
-        assert t_lo <= t_n <= t_hi, "induced translation outside its interval"
+            eta_ok = float(eta_lo) - 1e-12 <= eta <= float(eta_hi) + 1e-12
+        if not eta_ok:
+            raise PreconditionError(
+                f"n={n}: induced scale {eta} outside [{eta_lo}, {eta_hi}]")
+        if not t_lo <= t_n <= t_hi:
+            raise PreconditionError(
+                f"n={n}: induced translation {t_n} outside "
+                f"[{t_lo}, {t_hi}]")
         g_n = Similarity(eta_exact if eta_exact is not None
                          else Fraction(eta), t_n)
         verified = verify_embedding(g_n, F, E, delta0).status == "consistent"
@@ -257,26 +254,7 @@ def renormalize_family(g: Similarity, F: IFS, E: IFS, i: int, n_max: int,
         raise PreconditionError(
             "hypothesis violated: needs ratio > 0 (for a negative-ratio "
             "self-embedding, square g and use self_embedding_family)")
-    delta0 = as_fraction(delta0)
-    phi = F.maps[i - 1]
-    alpha = phi.ratio
-    powers = {}
-
-    def image_map(n: int) -> Similarity:
-        if n not in powers:
-            cur = IDENTITY
-            k = 0
-            if powers:
-                k = max(powers)
-                cur = powers[k]
-            while k < n:
-                cur = compose(cur, phi)
-                k += 1
-                powers[k] = cur
-        return powers[n]
-
-    return _family(g, F, E, alpha, i, n_max, delta0, image_map,
-                   self_embedding=False)
+    return _family(g, F, E, F.maps[i - 1], i, n_max, as_fraction(delta0))
 
 
 def self_embedding_family(g: Similarity, F: IFS, n_max: int,
@@ -294,21 +272,7 @@ def self_embedding_family(g: Similarity, F: IFS, n_max: int,
     if not 0 < g.ratio < 1:
         raise PreconditionError(
             "hypothesis violated: a proper self-embedding needs |ratio| < 1")
-    powers = {1: g}
-
-    def image_map(n: int) -> Similarity:
-        # returns g^{n+1}
-        k = max(powers)
-        cur = powers[k]
-        while k < n + 1:
-            cur = compose(cur, g)
-            k += 1
-            powers[k] = cur
-        return powers[n + 1]
-
-    fam = _family(g, F, F, g.ratio, 0, n_max, delta0, image_map,
-                  self_embedding=True)
-    return fam
+    return _family(g, F, F, g, 0, n_max, delta0)
 
 
 def fractional_orbit(x, N: int) -> CoverageReport:

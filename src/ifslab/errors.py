@@ -19,10 +19,6 @@ class PreconditionError(IfslabError):
     separation gap)."""
 
 
-class UnsupportedError(IfslabError):
-    """The operation only supports exact rational inputs."""
-
-
 class PrecisionError(IfslabError):
     """Extended-precision exponent arithmetic cannot certify a floor/frac
     split within the configured error budget."""

@@ -9,16 +9,16 @@ are bit-identical across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dimension import similarity_dimension
 from .errors import InvalidParameterError
-from .similarity import (IFS, IDENTITY, Interval, Similarity, as_fraction,
-                         attractor_hull, compose)
+from .similarity import (IFS, Interval, Similarity, _walk, as_fraction,
+                         attractor_hull)
 
 _MASS_TOL = 1e-9
 
@@ -181,21 +181,20 @@ def self_similar_measure(ifs: IFS, weights, level: int) -> DyadicMeasure:
             raise InvalidParameterError("weights must be a probability vector")
 
     hull = attractor_hull(ifs)
+    diameter, mid = hull.diameter, hull.midpoint
     delta = Fraction(1, 2 ** level)
     two_n = 2 ** level
+
+    def stop(word, g):
+        # a zero weight ends its branch, which then carries no mass
+        return g.ratio * diameter <= delta or (word and p[word[-1] - 1] == 0.0)
+
     cells: dict = {}
-    stack: List[Tuple[Similarity, float]] = [(IDENTITY, 1.0)]
-    while stack:
-        g, mass = stack.pop()
-        if mass == 0.0:
-            continue
-        iv = g.apply(hull)
-        if iv.diameter <= delta:
-            k = math.floor(iv.midpoint * two_n)
+    for word, g in _walk(ifs, stop):
+        mass = math.prod((p[i - 1] for i in word), start=1.0)
+        if mass != 0.0:
+            k = math.floor(g(mid) * two_n)
             cells[k] = cells.get(k, 0.0) + mass
-        else:
-            for i in range(len(ifs) - 1, -1, -1):
-                stack.append((compose(g, ifs.maps[i]), mass * p[i]))
     return DyadicMeasure.from_cell_masses(level, cells)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Callable, Iterator, Sequence, Tuple, Union
 
 from .errors import InvalidParameterError, InvalidWordError
 
@@ -168,6 +168,24 @@ def attractor_hull(ifs: IFS) -> Interval:
     return Interval(min(fps), max(fps))
 
 
+def _walk(ifs: IFS, stop: Callable[[Word, Similarity], bool]
+          ) -> Iterator[Tuple[Word, Similarity]]:
+    """Depth-first expansion of the word tree of ``ifs``.
+
+    Yields (word, cylinder map) at every node where ``stop(word, map)``
+    first holds, in lexicographic word order; the children of every other
+    node are expanded.
+    """
+    stack = [((), IDENTITY)]
+    while stack:
+        word, g = stack.pop()
+        if stop(word, g):
+            yield word, g
+        else:
+            for i in range(len(ifs), 0, -1):
+                stack.append((word + (i,), compose(g, ifs.maps[i - 1])))
+
+
 def cylinder_cover(ifs: IFS, delta: RationalLike):
     """Cylinder hulls of diameter <= delta covering the attractor.
 
@@ -179,14 +197,7 @@ def cylinder_cover(ifs: IFS, delta: RationalLike):
     if delta <= 0:
         raise InvalidParameterError("cover resolution delta must be > 0")
     hull = attractor_hull(ifs)
-    out = []
-    stack = [((), IDENTITY)]
-    while stack:
-        word, g = stack.pop()
-        iv = g.apply(hull)
-        if iv.diameter <= delta:
-            out.append((word, iv))
-        else:
-            for i in range(len(ifs), 0, -1):
-                stack.append((word + (i,), compose(g, ifs.maps[i - 1])))
-    return out
+    diameter = hull.diameter
+    # ratios are positive, so ratio * diameter is the image's diameter
+    return [(word, g.apply(hull)) for word, g in
+            _walk(ifs, lambda _, g: g.ratio * diameter <= delta)]

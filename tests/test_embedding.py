@@ -7,6 +7,7 @@ from ifslab import (IDENTITY, InvalidParameterError, PreconditionError,
                     Similarity, compose, fractional_orbit,
                     renormalize_family, self_embedding_family,
                     verify_embedding)
+import ifslab.embedding as embedding_module
 from ifslab.presets import C13, C14, C19, HALVES
 
 
@@ -109,6 +110,20 @@ class TestRenormalizeFamily:
     def test_negative_ratio_rejected(self):
         with pytest.raises(PreconditionError):
             renormalize_family(Similarity(-1, 1), C19, C13, 1, 10)
+
+    def test_broken_invariant_raises_typed_error(self, monkeypatch):
+        # a descent that returns a shifted cylinder map puts t_n outside
+        # [t_lo, t_hi]; the check must survive python -O
+        real = embedding_module._locate_unique_cylinder
+
+        def shifted(E, hull, target, depth):
+            word, psi = real(E, hull, target, depth)
+            return word, Similarity(psi.ratio, psi.translation - 5)
+
+        monkeypatch.setattr(embedding_module, "_locate_unique_cylinder",
+                            shifted)
+        with pytest.raises(PreconditionError, match="induced translation"):
+            renormalize_family(IDENTITY, C19, C13, 1, 10)
 
 
 class TestSelfEmbeddingFamily:
