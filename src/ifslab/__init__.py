@@ -22,6 +22,6 @@ from .commensurability import (CommensurabilityResult, ExponentMatrix,
                                continued_fraction, is_pisot,
                                log_commensurable)
 from .errors import (IfslabError, InvalidParameterError, InvalidWordError,
-                     PrecisionError, PreconditionError)
+                     PreconditionError)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

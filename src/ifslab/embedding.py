@@ -9,25 +9,24 @@ a proof.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
 
 from .commensurability import log_commensurable
 from .dimension import _distance_to_union, _merge, ssc_gap
-from .errors import (InvalidParameterError, PreconditionError, PrecisionError)
+from .errors import InvalidParameterError, PreconditionError
 from .similarity import (IFS, IDENTITY, Interval, Similarity, Word,
-                         as_fraction, attractor_hull, compose, cylinder_cover)
+                         as_fraction, attractor_hull, compose, cylinder_cover,
+                         invert)
 
 #: default re-verification resolution for family entries
 DEFAULT_DELTA0 = Fraction(1, 2 ** 12)
 
 _MP_DPS = 60
-_FLOOR_BUDGET = Fraction(1, 2 ** 40)
 
 
 @dataclass(frozen=True)
@@ -81,80 +80,56 @@ def verify_embedding(g: Similarity, F: IFS, E: IFS, delta) -> EmbeddingVerdict:
     of g(F) outside E, certifying g(F) is not contained in E.
     """
     delta = as_fraction(delta)
+    union, los = _merged_cover(E, delta)
+    return _verdict(g, cylinder_cover(F, delta / abs(g.ratio)), union, los,
+                    delta)
+
+
+def _merged_cover(E: IFS, delta: Fraction
+                  ) -> Tuple[List[Interval], List[Fraction]]:
+    """E's delta-cover as a sorted disjoint union, with its left ends."""
     if delta <= 0:
         raise InvalidParameterError("resolution delta must be > 0")
-    cover_f = cylinder_cover(F, delta / abs(g.ratio))
     union = _merge([iv for _, iv in cylinder_cover(E, delta)])
-    los = [u.lo for u in union]
-    witness = None
-    for word, iv in sorted(cover_f, key=lambda wi: wi[0]):
+    return union, [u.lo for u in union]
+
+
+def _verdict(g: Similarity, cover_f: Sequence[Tuple[Word, Interval]],
+             union: List[Interval], los: List[Fraction],
+             delta: Fraction) -> EmbeddingVerdict:
+    """Reject g at the first cylinder of F's cover, in word order, whose
+    image is disjoint from E's merged cover; otherwise g is consistent."""
+    for word, iv in cover_f:
         img = g.apply(iv)
         if _distance_to_union(img, union, los) > 0:
-            witness = (word, img)
-            break
-    if witness is None:
-        return EmbeddingVerdict("consistent", delta)
-    return EmbeddingVerdict("rejected", delta, witness[0], witness[1])
-
-
-class _LogRatio:
-    """floor/frac splitter for n * log(a)/log(b): exact when the ratio is
-    certified rational, 60-digit mpmath otherwise with a 2^-40 budget on
-    the distance to the nearest integer."""
-
-    def __init__(self, a: Fraction, b: Fraction):
-        res = log_commensurable(a, b)
-        self.exact: Optional[Fraction] = res.ratio
-        if self.exact is None:
-            with mp.workdps(_MP_DPS):
-                self.approx = mp.log(mp.mpf(a.numerator) / a.denominator) / \
-                    mp.log(mp.mpf(b.numerator) / b.denominator)
-
-    def value(self) -> float:
-        return float(self.exact) if self.exact is not None \
-            else float(self.approx)
-
-    def times_gt(self, n: int, p: int) -> bool:
-        """Whether n * ratio > p."""
-        if self.exact is not None:
-            return self.exact * n > p
-        with mp.workdps(_MP_DPS):
-            return self.approx * n > p
-
-    def split(self, n: int) -> Tuple[int, Union[Fraction, float], Optional[Fraction]]:
-        """Return (floor, frac_float, frac_exact_or_None) of n * ratio."""
-        if self.exact is not None:
-            v = self.exact * n
-            l = math.floor(v)
-            fr = v - l
-            return l, float(fr), fr
-        with mp.workdps(_MP_DPS):
-            v = self.approx * n
-            l = int(mp.floor(v))
-            fr = v - l
-            if min(fr, 1 - fr) < mp.mpf(_FLOOR_BUDGET.denominator) ** -1 * \
-                    _FLOOR_BUDGET.numerator and fr != 0:
-                raise PrecisionError(
-                    f"n={n}: n*log-ratio within 2^-40 of an integer; "
-                    "floor cannot be certified at this precision")
-            return l, float(fr), None
+            return EmbeddingVerdict("rejected", delta, word, img)
+    return EmbeddingVerdict("consistent", delta)
 
 
 def _locate_unique_cylinder(E: IFS, hull: Interval, target: Interval,
                             depth: int) -> Tuple[Word, Similarity]:
     """Descend to the unique depth-d cylinder of E whose hull intersects
-    the target interval; more or fewer than one hit is a hard error."""
+    the target interval; more or fewer than one hit is a hard error.
+
+    cur o phi_i(hull) meets the target exactly when phi_i(hull) meets
+    cur^-1(target), so each step tests the fixed first-level pieces against
+    the target mapped back through the cylinder map chosen so far.
+    """
+    pieces = [m.apply(hull) for m in E.maps]
+    inverses = [invert(m) for m in E.maps]
     word: List[int] = []
     cur = IDENTITY
     for step in range(depth):
-        hits = [i for i in range(1, len(E) + 1)
-                if compose(cur, E.maps[i - 1]).apply(hull).intersects(target)]
+        hits = [i for i, piece in enumerate(pieces, 1)
+                if piece.intersects(target)]
         if len(hits) != 1:
             raise PreconditionError(
                 f"unique-cylinder hypothesis violated at depth {step + 1}: "
                 f"{len(hits)} cylinders intersect the image interval")
-        word.append(hits[0])
-        cur = compose(cur, E.maps[hits[0] - 1])
+        i = hits[0]
+        word.append(i)
+        cur = compose(cur, E.maps[i - 1])
+        target = inverses[i - 1].apply(target)
     return tuple(word), cur
 
 
@@ -172,7 +147,12 @@ def _family(g: Similarity, F: IFS, E: IFS, phi: Similarity, index: int,
     kappa = cert.gap
     alpha = phi.ratio
     gamma, b = g.ratio, g.translation
-    base = verify_embedding(g, F, E, delta0)
+    union, los = _merged_cover(E, delta0)
+    # F's cover is kept for one resolution delta0/|eta| at a time: exact
+    # families reuse it for every entry, irrational ones rebuild it per entry
+    res_f = delta0 / abs(gamma)
+    cover_f = cylinder_cover(F, res_f)
+    base = _verdict(g, cover_f, union, los, delta0)
     if base.status != "consistent":
         raise PreconditionError(
             f"hypothesis violated: g itself is rejected at resolution "
@@ -186,9 +166,15 @@ def _family(g: Similarity, F: IFS, E: IFS, phi: Similarity, index: int,
     p = 0
     while beta ** p >= kappa / c:
         p += 1
-    ratio = _LogRatio(alpha, beta)
+    log_ratio = log_commensurable(alpha, beta).ratio
+    if log_ratio is None:
+        with mp.workdps(_MP_DPS):
+            approx = mp.log(mp.mpf(alpha.numerator) / alpha.denominator) / \
+                mp.log(mp.mpf(beta.numerator) / beta.denominator)
+    # with alpha, beta in (0, 1): n * log alpha / log beta > l exactly when
+    # alpha^n < beta^l, so N and every l_n come from exact comparisons
     N = 1
-    while not ratio.times_gt(N, p):
+    while alpha ** N >= beta ** p:
         N += 1
 
     t_lo = hull_e.lo - beta ** p * gamma * hull_f.hi
@@ -197,11 +183,20 @@ def _family(g: Similarity, F: IFS, E: IFS, phi: Similarity, index: int,
 
     entries: List[RenormEntry] = []
     comp = IDENTITY
+    l_n, beta_next = 0, beta                # beta_next = beta^(l_n + 1)
     for n in range(1, n_max + 1):
-        comp = compose(comp, phi)           # phi^n
+        comp = compose(comp, phi)           # phi^n, of ratio alpha^n
         if n <= N:
             continue
-        l_n, frac, frac_exact = ratio.split(n)
+        while comp.ratio <= beta_next:      # l_n = max{l : alpha^n <= beta^l}
+            l_n, beta_next = l_n + 1, beta_next * beta
+        if log_ratio is not None:
+            frac_exact: Optional[Fraction] = log_ratio * n - l_n
+            frac = float(frac_exact)
+        else:
+            frac_exact = None
+            with mp.workdps(_MP_DPS):
+                frac = float(approx * n - l_n)
         d = l_n - p
         if d < 0:
             raise PreconditionError(
@@ -231,13 +226,17 @@ def _family(g: Similarity, F: IFS, E: IFS, phi: Similarity, index: int,
                 f"[{t_lo}, {t_hi}]")
         g_n = Similarity(eta_exact if eta_exact is not None
                          else Fraction(eta), t_n)
-        verified = verify_embedding(g_n, F, E, delta0).status == "consistent"
+        res = delta0 / abs(g_n.ratio)
+        if res != res_f:
+            res_f, cover_f = res, cylinder_cover(F, res)
+        verified = _verdict(g_n, cover_f, union, los,
+                            delta0).status == "consistent"
         entries.append(RenormEntry(n, l_n, frac, frac_exact, eta, eta_exact,
                                    t_n, word, verified))
         if not verified:
             break  # a rejected induced embedding is the reportable outcome
     return RenormalizationFamily(g, index, kappa, c, p, N, alpha, beta,
-                                 ratio.exact, tuple(entries))
+                                 log_ratio, tuple(entries))
 
 
 def renormalize_family(g: Similarity, F: IFS, E: IFS, i: int, n_max: int,

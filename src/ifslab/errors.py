@@ -17,8 +17,3 @@ class PreconditionError(IfslabError):
     """A named hypothesis of a pipeline stage is violated (e.g. the
     renormalization requires a homogeneous target IFS with a certified
     separation gap)."""
-
-
-class PrecisionError(IfslabError):
-    """Extended-precision exponent arithmetic cannot certify a floor/frac
-    split within the configured error budget."""

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +84,25 @@ def test_renorm_csv(files, capsys):
     assert code == 0
     rows = [l for l in out.splitlines() if l and l[0].isdigit()]
     assert all(r.endswith(",1") for r in rows)
+
+
+@pytest.mark.parametrize("golden,argv", [
+    ("renorm_c19_in_c13.csv",
+     ["renorm", "c19.json", "c13.json", "--g", "1,0", "--i", "1",
+      "--nmax", "200"]),
+    ("renorm_c13_negative_self.csv",
+     ["renorm", "c13.json", "c13.json", "--g=-1/3,1/3", "--self-embedding",
+      "--nmax", "30"]),
+])
+def test_renorm_out_matches_golden(files, capsys, monkeypatch, tmp_path,
+                                   golden, argv):
+    # the header echoes the input paths, so they are given relative to
+    # the directory holding them
+    monkeypatch.chdir(tmp_path)
+    code, _ = run(capsys, *argv, "--out", "out.csv")
+    assert code == 0
+    want = (Path(__file__).parent / "golden" / golden).read_bytes()
+    assert (tmp_path / "out.csv").read_bytes() == want
 
 
 def test_orbit(files, capsys):

@@ -1,10 +1,13 @@
-"""Reference oracles for the cylinder expansion and pinned renormalization
-families.
+"""Reference oracles for the cylinder expansion and the unique-cylinder
+descent, and pinned renormalization families.
 
 The three reference loops below are the stand-alone expansions that
 `cylinder_cover`, `self_similar_measure` and `dimension._level_intervals`
 once carried each.  The library must reproduce them exactly: the same
 (word, interval) lists, the same measure origin and bit-identical masses.
+The reference descent recomposes each candidate cylinder from the root;
+the library's descent must find the same word and cylinder map, or fail
+at the same depth.
 """
 import math
 import random
@@ -13,12 +16,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ifslab.embedding as embedding_module
 import ifslab.measures as measures_module
 import ifslab.similarity as similarity_module
-from ifslab import (IDENTITY, IFS, DyadicMeasure, Similarity, attractor_hull,
-                    compose, cylinder_cover, renormalize_family,
+from ifslab import (IDENTITY, IFS, DyadicMeasure, Interval,
+                    PreconditionError, Similarity, attractor_hull, compose,
+                    cylinder_cover, cylinder_map, renormalize_family,
                     self_embedding_family, self_similar_measure,
-                    similarity_dimension)
+                    similarity_dimension, verify_embedding)
 from ifslab.dimension import _level_intervals
 from ifslab.presets import C13, C14, C19, HALVES
 
@@ -89,6 +94,22 @@ def ref_level_intervals(ifs, depth):
     for _ in range(depth):
         maps = [compose(g, phi) for g in maps for phi in ifs.maps]
     return [g.apply(hull) for g in maps]
+
+
+def ref_locate_unique_cylinder(E, hull, target, depth):
+    """Descent that recomposes every candidate cylinder from the root."""
+    word = []
+    cur = IDENTITY
+    for step in range(depth):
+        hits = [i for i in range(1, len(E) + 1)
+                if compose(cur, E.maps[i - 1]).apply(hull).intersects(target)]
+        if len(hits) != 1:
+            raise PreconditionError(
+                f"unique-cylinder hypothesis violated at depth {step + 1}: "
+                f"{len(hits)} cylinders intersect the image interval")
+        word.append(hits[0])
+        cur = compose(cur, E.maps[hits[0] - 1])
+    return tuple(word), cur
 
 
 def maximal_weights(ifs):
@@ -167,6 +188,43 @@ def test_walk_matches_reference_property(ifs, k, depth, raw):
                         ref_self_similar_measure(ifs, p, k))
 
 
+def descent_outcome(locate, E, hull, target, depth):
+    try:
+        return locate(E, hull, target, depth)
+    except PreconditionError as e:
+        return str(e)
+
+
+@st.composite
+def descent_cases(draw):
+    """A homogeneous SSC IFS on [0, 1] and a target made by shrinking or
+    stretching the hull of a random cylinder; stretched targets reach
+    neighbouring cylinders or leave the hull, so the descent also fails."""
+    r = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 4), Fraction(2, 7),
+                              Fraction(1, 5)]))
+    m = draw(st.integers(2, 3 if r < Fraction(1, 3) else 2))
+    # evenly spread maps leave gaps of (1 - m*r)/(m - 1) > 0
+    shifts = draw(st.permutations([k * (1 - r) / (m - 1) for k in range(m)]))
+    E = IFS(tuple(Similarity(r, t) for t in shifts))
+    word = draw(st.lists(st.integers(1, m), max_size=6))
+    iv = cylinder_map(E, word).apply(attractor_hull(E))
+    ends = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(3, 2),
+                        max_denominator=16)
+    a, b = sorted((draw(ends), draw(ends)))
+    target = Interval(iv.lo + a * iv.diameter, iv.lo + b * iv.diameter)
+    return E, target, draw(st.integers(0, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=descent_cases())
+def test_descent_matches_reference_property(case):
+    E, target, depth = case
+    hull = attractor_hull(E)
+    assert descent_outcome(embedding_module._locate_unique_cylinder, E, hull,
+                           target, depth) == \
+        descent_outcome(ref_locate_unique_cylinder, E, hull, target, depth)
+
+
 def test_zero_weight_branches_are_not_expanded(monkeypatch):
     # without pruning this expansion has 2^40 leaves; the budget turns
     # that into a failure instead of a hang
@@ -225,3 +283,68 @@ def test_self_embedding_family_pinned_depth_two(g):
     assert entry_fields(fam) == [
         (n, 2 * n, Fraction(0), Fraction(1, 9), Fraction(2, 9), (1, 2) * n,
          True) for n in range(2, 31)]
+
+
+@pytest.mark.parametrize("k", [10, 14, 20])
+def test_renormalize_family_pinned_rejected_entry(k):
+    # g = x/3 + 3^-k: the entry n = k - 6 is the first induced embedding
+    # rejected at the default resolution, and the family stops there
+    g = sim(Fraction(1, 3), Fraction(1, 3 ** k))
+    fam = renormalize_family(g, C13, C13, 1, 40)
+    assert (fam.p, fam.N) == (1, 2)
+    assert entry_fields(fam) == [
+        (n, n, Fraction(0), Fraction(1, 9), Fraction(1, 3 ** (k + 1 - n)),
+         (1,) * (n - 1), n < k - 6) for n in range(3, k - 5)]
+    delta0 = embedding_module.DEFAULT_DELTA0
+    for e in fam.entries:
+        verdict = verify_embedding(Similarity(e.eta_exact, e.t), C13, C13,
+                                   delta0)
+        assert e.verified == (verdict.status == "consistent")
+
+
+def test_family_cover_count_does_not_grow_with_n_max(monkeypatch):
+    calls = [0]
+    real = similarity_module.cylinder_cover
+
+    def counting(ifs, delta):
+        calls[0] += 1
+        return real(ifs, delta)
+
+    monkeypatch.setattr(similarity_module, "cylinder_cover", counting)
+    monkeypatch.setattr(embedding_module, "cylinder_cover", counting)
+    counts = []
+    for n_max in (60, 200):
+        calls[0] = 0
+        renormalize_family(IDENTITY, C19, C13, 1, n_max)
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+
+
+def two_map_ifs(r):
+    return IFS((Similarity(r, 0), Similarity(r, 1 - r)))
+
+
+small_contractions = st.fractions(min_value=Fraction(1, 12),
+                                  max_value=Fraction(5, 11),
+                                  max_denominator=12)
+powers_of_one_base = st.tuples(
+    st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)]),
+    st.integers(2, 4), st.integers(2, 4)).map(
+    lambda t: (t[0] ** t[1], t[0] ** t[2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ab=st.one_of(st.tuples(small_contractions, small_contractions),
+                    powers_of_one_base),
+       gamma=st.sampled_from([Fraction(1, 16), Fraction(1, 2)]))
+def test_family_floor_is_exact_property(ab, gamma):
+    # g(x) = gamma*x at resolution gamma covers F by its hull, which lands
+    # at 0 in E; the family then traps [0, gamma * alpha^n] in cylinders
+    # 1^d, and gamma = 1/2 makes p > 0
+    alpha, beta = ab
+    fam = renormalize_family(Similarity(gamma, 0), two_map_ifs(alpha),
+                             two_map_ifs(beta), 1, 12, gamma)
+    assert alpha ** fam.N < beta ** fam.p
+    assert fam.N == 1 or alpha ** (fam.N - 1) >= beta ** fam.p
+    for e in fam.entries:
+        assert beta ** (e.l_n + 1) < alpha ** e.n <= beta ** e.l_n
