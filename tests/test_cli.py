@@ -51,6 +51,15 @@ def test_entropy_csv(files, capsys):
     assert lines[-1].startswith("slope,")
 
 
+def test_entropy_level_over_budget_is_input_error(files, capsys):
+    code = main(["entropy", files["c13"], "--level", "30", "--nmin", "4",
+                 "--nmax", "12"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cells" in captured.err and "budget" in captured.err
+
+
 def test_convolve_csv(files, capsys):
     code, out = run(capsys, "convolve", files["nu"], files["c13"],
                     "--level", "14", "--out-level", "12",

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +63,29 @@ class TestSelfSimilarMeasure:
                        shannon_entropy(built, n)) < 1e-9
 
 
+class TestCellBudget:
+    def test_deep_measure_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameterError, match="cells"):
+            self_similar_measure(C13, "maximal", 30)
+        assert time.perf_counter() - start < 1.0
+
+    def test_budget_counts_the_support_of_positive_weights(self):
+        with pytest.raises(InvalidParameterError, match="cells"):
+            self_similar_measure(HALVES, [0.5, 0.5], 26)
+        # a zero weight shrinks the support to a point
+        theta = self_similar_measure(HALVES, [0.0, 1.0], 60)
+        assert (theta.origin, theta.masses.tolist()) == (2 ** 60 - 1, [1.0])
+
+    def test_convolution_pairs_fail_fast(self):
+        mu = DyadicMeasure.uniform(14)
+        nu = ParamMeasure.uniform((0.5, 1.0), (0.0, 0.0), (2 ** 12 + 1, 1))
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameterError, match="pairs"):
+            act_convolve(nu, mu, 10)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestShannonEntropy:
     def test_uniform(self):
         theta = DyadicMeasure.uniform(10)
@@ -105,6 +130,22 @@ class TestEntropyDimension:
         with pytest.raises(InvalidParameterError):
             entropy_dimension(DyadicMeasure.uniform(10), 4, 5)
 
+    def test_sparse_curve_allocates_no_dense_grid(self):
+        # a handful of nonzero cells spread over 2^22; numpy reports its
+        # buffers to tracemalloc, and one dense pass at this level allocates
+        # 4 MiB (a boolean mask) to 32 MiB (cell indices)
+        m = np.zeros(2 ** 22)
+        m[[0, 9, 12345, 2 ** 21, 3 * 2 ** 20 + 7, 2 ** 22 - 1]] = 1 / 6
+        theta = DyadicMeasure(22, 0, m)
+        tracemalloc.start()
+        try:
+            curve = entropy_dimension(theta, 8, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert curve.points[-1][1] == pytest.approx(math.log2(6))
+
 
 class TestPushforward:
     def test_identity(self):
@@ -125,6 +166,13 @@ class TestPushforward:
         assert out.origin == 0
         assert out.masses.size == 512
         assert np.allclose(out.masses, 1.0 / 512)
+
+    def test_cells_beyond_int64(self):
+        theta = DyadicMeasure.point_mass(70, Fraction(1, 3))
+        mid = Fraction(2 * theta.origin + 1, 2 ** 71)
+        out = pushforward(Similarity(-1, 1), theta, 80)
+        assert out.origin == math.floor((1 - mid) * 2 ** 80)
+        assert out.masses.tolist() == [1.0]
 
 
 class TestActConvolve:

@@ -1,5 +1,5 @@
-"""Reference oracles for the cylinder expansion and the unique-cylinder
-descent, and pinned renormalization families.
+"""Reference oracles for the cylinder expansion, the unique-cylinder
+descent and the measure readers, and pinned renormalization families.
 
 The three reference loops below are the stand-alone expansions that
 `cylinder_cover`, `self_similar_measure` and `dimension._level_intervals`
@@ -7,23 +7,28 @@ once carried each.  The library must reproduce them exactly: the same
 (word, interval) lists, the same measure origin and bit-identical masses.
 The reference descent recomposes each candidate cylinder from the root;
 the library's descent must find the same word and cylinder map, or fail
-at the same depth.
+at the same depth.  The dense coarsening, the per-cell `Fraction`
+pushforward and the per-grid-cell convolution loop are the measure
+readers that scanned every dense cell; the library must give the same
+entropies, slopes and intercepts, and bit-identical image measures.
 """
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ifslab.embedding as embedding_module
 import ifslab.measures as measures_module
 import ifslab.similarity as similarity_module
-from ifslab import (IDENTITY, IFS, DyadicMeasure, Interval,
-                    PreconditionError, Similarity, attractor_hull, compose,
-                    cylinder_cover, cylinder_map, renormalize_family,
+from ifslab import (IDENTITY, IFS, DyadicMeasure, Interval, ParamMeasure,
+                    PreconditionError, Similarity, act_convolve,
+                    attractor_hull, compose, cylinder_cover, cylinder_map,
+                    entropy_dimension, pushforward, renormalize_family,
                     self_embedding_family, self_similar_measure,
-                    similarity_dimension, verify_embedding)
+                    shannon_entropy, similarity_dimension, verify_embedding)
 from ifslab.dimension import _level_intervals
 from ifslab.presets import C13, C14, C19, HALVES
 
@@ -348,3 +353,182 @@ def test_family_floor_is_exact_property(ab, gamma):
     assert fam.N == 1 or alpha ** (fam.N - 1) >= beta ** fam.p
     for e in fam.entries:
         assert beta ** (e.l_n + 1) < alpha ** e.n <= beta ** e.l_n
+
+
+# -- measure readers against the dense loops -------------------------------
+
+def ref_coarsen(theta, n):
+    """Dense coarsening: one bin per level-n cell from the first cell of the
+    array to the last, zeros included."""
+    shift = theta.level - n
+    if shift == 0:
+        return theta.masses
+    k = theta.origin + np.arange(theta.masses.size)
+    c = k >> shift
+    return np.bincount(c - int(c[0]), weights=theta.masses)
+
+
+def ref_entropy_bits(p):
+    p = p[p > 0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def ref_entropy_curve(theta, n_min, n_max):
+    """(entropies, slope, intercept) by the library's least-squares formula
+    over the dense coarsening."""
+    ns = np.arange(n_min, n_max + 1, dtype=np.float64)
+    hs = np.array([ref_entropy_bits(ref_coarsen(theta, int(n))) for n in ns])
+    dx = ns - ns.mean()
+    dy = hs - hs.mean()
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    return hs.tolist(), slope, float(hs.mean() - slope * ns.mean())
+
+
+def ref_pushforward(g, theta, out_level):
+    """One exact `Fraction` image per nonzero source-cell midpoint."""
+    cells = {}
+    two_out = 2 ** out_level
+    denom = 2 ** (theta.level + 1)
+    for j in range(theta.masses.size):
+        m = float(theta.masses[j])
+        if m == 0.0:
+            continue
+        mid = Fraction(2 * (theta.origin + j) + 1, denom)
+        k = math.floor(g(mid) * two_out)
+        cells[k] = cells.get(k, 0.0) + m
+    return DyadicMeasure.from_cell_masses(out_level, cells)
+
+
+def ref_act_convolve(nu, mu, out_level):
+    """One block of images per nonzero nu grid cell, in row-major order,
+    summed by `np.add.at`."""
+    jj = np.nonzero(mu.masses)[0]
+    x = (mu.origin + jj + 0.5) / 2 ** mu.level
+    w = mu.masses[jj]
+    two_out = float(2 ** out_level)
+    idx_blocks = []
+    mass_blocks = []
+    a_centers = nu.scale_centers
+    t_centers = nu.trans_centers
+    for ia in range(nu.grid.shape[0]):
+        for it in range(nu.grid.shape[1]):
+            wc = nu.grid[ia, it]
+            if wc == 0.0:
+                continue
+            y = a_centers[ia] * x + t_centers[it]
+            idx_blocks.append(np.floor(y * two_out).astype(np.int64))
+            mass_blocks.append(wc * w)
+    idx = np.concatenate(idx_blocks)
+    mass = np.concatenate(mass_blocks)
+    origin = int(idx.min())
+    out = np.zeros(int(idx.max()) - origin + 1)
+    np.add.at(out, idx - origin, mass)
+    return DyadicMeasure(out_level, origin, out)
+
+
+def assert_same_entropies(theta, n_min, n_max):
+    for n in range(0, theta.level + 1):
+        assert shannon_entropy(theta, n) == \
+            ref_entropy_bits(ref_coarsen(theta, n))
+    curve = entropy_dimension(theta, n_min, n_max)
+    hs, slope, intercept = ref_entropy_curve(theta, n_min, n_max)
+    assert [h for _, h in curve.points] == hs
+    assert (curve.slope, curve.intercept) == (slope, intercept)
+
+
+@st.composite
+def sparse_measures(draw, max_level=14):
+    """A measure whose mass array has leading, trailing and interior zero
+    cells (each may be absent) and an origin of either sign."""
+    level = draw(st.integers(3, max_level))
+    lead = [0.0] * draw(st.integers(0, 3))
+    trail = [0.0] * draw(st.integers(0, 3))
+    body = draw(st.lists(st.one_of(st.just(0.0),
+                                   st.floats(1e-6, 1.0),
+                                   st.sampled_from([0.25, 1.0, 1e-300])),
+                         min_size=1, max_size=200))
+    if not any(body):
+        body[draw(st.integers(0, len(body) - 1))] = 1.0
+    m = np.array(lead + body + trail)
+    span = 2 ** level
+    origin = draw(st.integers(-2 * span, 2 * span))
+    return DyadicMeasure(level, origin, m / m.sum())
+
+
+ratios = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                          Fraction(-3), Fraction(1, 3), Fraction(-1, 3),
+                          Fraction(5, 7), Fraction(-2, 5), Fraction(7, 2)])
+translations = st.fractions(min_value=-3, max_value=3, max_denominator=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(theta=sparse_measures(), data=st.data())
+def test_entropy_curve_matches_dense_coarsening_property(theta, data):
+    n_min = data.draw(st.integers(1, theta.level - 2))
+    assert_same_entropies(theta, n_min,
+                          data.draw(st.integers(n_min + 2, theta.level)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(theta=sparse_measures(), r=ratios, t=translations,
+       out_level=st.integers(1, 14))
+def test_pushforward_matches_fraction_reference_property(theta, r, t,
+                                                         out_level):
+    g = Similarity(r, t)
+    got = pushforward(g, theta, out_level)
+    assert_same_measure(got, ref_pushforward(g, theta, out_level))
+    assert abs(got.total - theta.total) <= 1e-9
+
+
+@st.composite
+def param_measures(draw):
+    """Small scale x translation grids with zero cells, over scale ranges
+    of either sign, or `from_pairs` grids."""
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        pairs = draw(st.lists(st.tuples(st.sampled_from([0.25, 1 / 3, 0.5,
+                                                          1.0, 2.0]),
+                                        st.floats(-2.0, 2.0)),
+                              min_size=1, max_size=12))
+        pairs = [(sign * a, t) for a, t in pairs]
+        shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+        return ParamMeasure.from_pairs(pairs, shape)
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]),
+                          min_size=nx * ny, max_size=nx * ny))
+    g = np.array(cells).reshape(nx, ny)
+    if not g.any():
+        g[-1, 0] = 1.0
+    lo = draw(st.sampled_from([0.1, 1 / 3, 0.5, 1.0]))
+    hi = lo + draw(st.sampled_from([0.0, 0.25, 2 / 3, 1.0]))
+    scale = (-hi, -lo) if draw(st.booleans()) else (lo, hi)
+    tlo = draw(st.floats(-1.0, 1.0))
+    trans = (tlo, tlo + draw(st.sampled_from([0.0, 0.5, 1.0])))
+    return ParamMeasure(scale, trans, g / g.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(nu=param_measures(), mu=sparse_measures(max_level=12),
+       out_level=st.integers(1, 14))
+def test_act_convolve_matches_loop_reference_property(nu, mu, out_level):
+    assert_same_measure(act_convolve(nu, mu, out_level),
+                        ref_act_convolve(nu, mu, out_level))
+
+
+@pytest.mark.parametrize("ifs,level", [(C13, 14), (C19, 14), (HALVES, 10),
+                                       (INHOM_3, 12)],
+                         ids=lambda v: getattr(v, "label", v))
+def test_measure_readers_match_references_on_self_similar(ifs, level):
+    theta = self_similar_measure(ifs, "maximal", level)
+    assert_same_entropies(theta, 1, level)
+    for g in (IDENTITY, sim(Fraction(-1, 3), Fraction(1, 3)),
+              sim(3, Fraction(-7, 5)), sim(1, Fraction(-5, 8))):
+        assert_same_measure(pushforward(g, theta, level - 2),
+                            ref_pushforward(g, theta, level - 2))
+    pairs = [(float(r), float(t)) for r, t in
+             ((Fraction(1, 3), 0), (Fraction(1, 3), Fraction(2, 3)),
+              (Fraction(1, 9), Fraction(1, 2)), (Fraction(1, 2), 1))]
+    for nu in (ParamMeasure.from_pairs(pairs, (8, 8)),
+               ParamMeasure.uniform((1 / 3, 1.0), (0.0, 0.5), (5, 3))):
+        assert_same_measure(act_convolve(nu, theta, level - 1),
+                            ref_act_convolve(nu, theta, level - 1))
