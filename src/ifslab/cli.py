@@ -1,8 +1,9 @@
 """Command-line interface: reproducible experiments with CSV/JSON output.
 
-Every payload starts with a header echoing the command, its configuration
-and the tool version, so output files are self-describing and byte-stable
-across runs.
+Every payload starts with a header echoing the command, its parsed
+arguments and the tool version, so output files are self-describing and
+byte-stable across runs.  Each ``cmd_*`` returns its payload and exit code;
+`main` writes the payload to stdout and to ``--out``.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Tuple
 
 import mpmath as mp
 
@@ -57,9 +58,12 @@ def _parse_x(text: str):
         return float(text)
 
 
-def _load_ifs(path: str) -> IFS:
+def _load_json(path: str):
+    """The JSON document in a file; an unreadable or malformed file is an
+    input error."""
     try:
-        return IFS.from_json(path)
+        with open(path) as fh:
+            return json.load(fh)
     except json.JSONDecodeError as e:
         raise InvalidParameterError(
             f"{path}: malformed JSON at line {e.lineno}, column {e.colno}") from e
@@ -67,116 +71,100 @@ def _load_ifs(path: str) -> IFS:
         raise InvalidParameterError(str(e)) from e
 
 
+def _load_ifs(path: str) -> IFS:
+    return IFS.from_dict(_load_json(path))
+
+
 def _load_param_measure(path: str) -> ParamMeasure:
+    d = _load_json(path)
     try:
-        with open(path) as fh:
-            d = json.load(fh)
         scale = [float(as_fraction(v)) for v in d["scale"]]
         trans = [float(as_fraction(v)) for v in d["trans"]]
         nx, ny = d["grid"]
         return ParamMeasure.uniform(tuple(scale), tuple(trans), (nx, ny))
-    except json.JSONDecodeError as e:
-        raise InvalidParameterError(
-            f"{path}: malformed JSON at line {e.lineno}, column {e.colno}") from e
     except (KeyError, TypeError, ValueError) as e:
         raise InvalidParameterError(f"bad measure spec in {path}: {e}") from e
 
 
-def _header(command: str, config: dict) -> str:
-    cfg = json.dumps(config, sort_keys=True, default=str)
+def _config(args) -> dict:
+    """The subcommand's parsed arguments, echoed by every report."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "func", "out")}
+
+
+def _header(args) -> str:
+    cfg = json.dumps(_config(args), sort_keys=True, default=str)
     return (f"# ifslab {__version__}\n"
-            f"# command: {command}\n"
+            f"# command: {args.command}\n"
             f"# config: {cfg}\n")
 
 
-def _json_doc(command: str, config: dict, result: dict) -> str:
+def _json_doc(args, result: dict) -> str:
     return json.dumps({"tool": "ifslab", "version": __version__,
-                       "command": command, "config": config,
+                       "command": args.command, "config": _config(args),
                        "result": result},
                       sort_keys=True, default=str, indent=2) + "\n"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-
-
-def _weights(arg: Optional[str]):
-    if arg is None or arg == "maximal":
-        return "maximal"
+def _weights(arg: str):
+    if arg == "maximal":
+        return arg
     return [float(as_fraction(w)) for w in arg.split(",")]
 
 
-def _entropy_csv(command: str, config: dict, theta, nmin: int, nmax: int) -> str:
-    curve = entropy_dimension(theta, nmin, nmax)
-    lines = [_header(command, config) + "n,H_bits"]
+def _entropy_csv(args, theta) -> str:
+    curve = entropy_dimension(theta, args.nmin, args.nmax)
+    lines = [_header(args) + "n,H_bits"]
     lines += [f"{n},{h:.12f}" for n, h in curve.points]
     lines.append(f"slope,{curve.slope:.12f}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_dim(args) -> int:
+def cmd_dim(args) -> Tuple[str, int]:
     ifs = _load_ifs(args.ifs)
     s = similarity_dimension(ifs)
-    cfg = {"ifs": args.ifs}
-    _emit(_header("dim", cfg) + f"{s:.15g}\n", args.out)
-    return 0
+    return _header(args) + f"{s:.15g}\n", 0
 
 
-def cmd_separation(args) -> int:
+def cmd_separation(args) -> Tuple[str, int]:
     ifs = _load_ifs(args.ifs)
     cert = ssc_gap(ifs, args.depth)
     if cert.kind == "none":
         osc = check_osc_hull(ifs)
         if osc.kind != "none":
             cert = osc
-    cfg = {"ifs": args.ifs, "depth": args.depth}
     result = {"kind": cert.kind, "gap": str(cert.gap), "witness": cert.witness}
-    _emit(_json_doc("separation", cfg, result), args.out)
-    return 0
+    return _json_doc(args, result), 0
 
 
-def cmd_entropy(args) -> int:
+def cmd_entropy(args) -> Tuple[str, int]:
     ifs = _load_ifs(args.ifs)
     theta = self_similar_measure(ifs, _weights(args.weights), args.level)
-    cfg = {"ifs": args.ifs, "level": args.level, "nmin": args.nmin,
-           "nmax": args.nmax, "weights": args.weights or "maximal"}
-    _emit(_entropy_csv("entropy", cfg, theta, args.nmin, args.nmax), args.out)
-    return 0
+    return _entropy_csv(args, theta), 0
 
 
-def cmd_convolve(args) -> int:
+def cmd_convolve(args) -> Tuple[str, int]:
     nu = _load_param_measure(args.nu)
     ifs = _load_ifs(args.mu)
     mu = self_similar_measure(ifs, _weights(args.weights), args.level)
     conv = act_convolve(nu, mu, args.out_level)
-    cfg = {"nu": args.nu, "mu": args.mu, "level": args.level,
-           "out_level": args.out_level, "nmin": args.nmin, "nmax": args.nmax,
-           "weights": args.weights or "maximal"}
-    _emit(_entropy_csv("convolve", cfg, conv, args.nmin, args.nmax), args.out)
-    return 0
+    return _entropy_csv(args, conv), 0
 
 
-def cmd_embed_check(args) -> int:
+def cmd_embed_check(args) -> Tuple[str, int]:
     F, E = _load_ifs(args.F), _load_ifs(args.E)
     g = _parse_g(args.g)
     verdict = verify_embedding(g, F, E, _parse_rational(args.res))
-    cfg = {"F": args.F, "E": args.E, "g": args.g, "res": args.res,
-           "expect": args.expect}
     result = {"status": verdict.status, "resolution": str(verdict.resolution)}
     if verdict.status == "rejected":
         result["witness_word"] = list(verdict.witness_word)
         result["witness_interval"] = [str(verdict.witness_interval.lo),
                                       str(verdict.witness_interval.hi)]
-    _emit(_json_doc("embed-check", cfg, result), args.out)
-    if args.expect and args.expect != verdict.status:
-        return 1
-    return 0
+    failed = args.expect is not None and args.expect != verdict.status
+    return _json_doc(args, result), int(failed)
 
 
-def cmd_renorm(args) -> int:
+def cmd_renorm(args) -> Tuple[str, int]:
     F, E = _load_ifs(args.F), _load_ifs(args.E)
     g = _parse_g(args.g)
     delta0 = _parse_rational(args.res)
@@ -184,73 +172,60 @@ def cmd_renorm(args) -> int:
         fam = self_embedding_family(g, F, args.nmax, delta0)
     else:
         fam = renormalize_family(g, F, E, args.i, args.nmax, delta0)
-    cfg = {"F": args.F, "E": args.E, "g": args.g, "i": args.i,
-           "nmax": args.nmax, "res": args.res,
-           "self_embedding": args.self_embedding}
-    lines = [_header("renorm", cfg) +
+    lines = [_header(args) +
              f"# kappa={fam.kappa} c={fam.c} p={fam.p} N={fam.N}\n"
              "n,l_n,frac_n,eta_n,t_n,verified"]
     for e in fam.entries:
         lines.append(f"{e.n},{e.l_n},{e.frac:.12f},{e.eta:.12g},"
                      f"{float(e.t):.12g},{int(e.verified)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> Tuple[str, int]:
     rep = fractional_orbit(_parse_x(args.x), args.N)
-    cfg = {"x": args.x, "N": args.N}
-    lines = [_header("orbit", cfg) + "i,frac"]
+    lines = [_header(args) + "i,frac"]
     lines += [f"{i},{v:.12f}" for i, v in enumerate(rep.points)]
     lines.append(f"count,{rep.count}")
     lines.append(f"max_gap,{rep.max_gap:.12f}")
     lines.append(f"distinct_gap_lengths,{rep.distinct_gap_lengths}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_commensurable(args) -> int:
+def cmd_commensurable(args) -> Tuple[str, int]:
     res = comm.log_commensurable(_parse_rational(args.alpha),
                                  _parse_rational(args.beta))
-    cfg = {"alpha": args.alpha, "beta": args.beta}
     result = {"verdict": res.verdict, "p": res.p, "q": res.q,
               "certificate": res.certificate}
-    _emit(_json_doc("commensurable", cfg, result), args.out)
-    return 0
+    return _json_doc(args, result), 0
 
 
-def cmd_exponents(args) -> int:
+def cmd_exponents(args) -> Tuple[str, int]:
     F, E = _load_ifs(args.F), _load_ifs(args.E)
     m = comm.conjecture_exponents(F, E)
-    cfg = {"F": args.F, "E": args.E}
     rows = [None if r is None else [str(t) for t in r] for r in m.rows]
     result = {"rows": rows, "has_negative": list(m.has_negative)}
-    _emit(_json_doc("exponents", cfg, result), args.out)
-    return 0
+    return _json_doc(args, result), 0
 
 
-def cmd_pisot(args) -> int:
+def cmd_pisot(args) -> Tuple[str, int]:
     coeffs = [int(c) for c in args.poly.split(",")]
     v = comm.is_pisot(coeffs)
-    cfg = {"poly": args.poly}
     result = {"polynomial": list(v.polynomial),
               "dominant_root": v.dominant_root,
               "conjugate_moduli": list(v.conjugate_moduli),
               "is_pisot": v.is_pisot, "salem_suspect": v.salem_suspect,
               "max_residual": v.max_residual}
-    _emit(_json_doc("pisot", cfg, result), args.out)
-    return 0
+    return _json_doc(args, result), 0
 
 
-def cmd_paper_suite(args) -> int:
+def cmd_paper_suite(args) -> Tuple[str, int]:
     results = run_paper_suite()
-    lines = [_header("paper-suite", {}).rstrip("\n")]
+    lines = [_header(args).rstrip("\n")]
     for name, ok, detail in results:
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     n_ok = sum(ok for _, ok, _ in results)
     lines.append(f"{n_ok}/{len(results)} criteria passed")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if n_ok == len(results) else 1
+    return "\n".join(lines) + "\n", int(n_ok != len(results))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--nmin", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--weights", default=None)
+    p.add_argument("--weights", default="maximal")
 
     p = add("convolve", cmd_convolve,
             help="entropy curve of the action convolution nu.mu")
@@ -290,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-level", type=int, required=True)
     p.add_argument("--nmin", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--weights", default=None)
+    p.add_argument("--weights", default="maximal")
 
     p = add("embed-check", cmd_embed_check,
             help="certified affine-embedding check at a resolution")
@@ -336,13 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except IfslabError as e:
+        text, code = args.func(args)
+    except (IfslabError, ValueError) as e:
         print(f"ifslab: error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"ifslab: error: {e}", file=sys.stderr)
-        return 2
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

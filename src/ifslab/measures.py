@@ -21,13 +21,24 @@ import numpy as np
 
 from .dimension import similarity_dimension
 from .errors import InvalidParameterError
-from .similarity import (IFS, Interval, Similarity, _walk, as_fraction,
-                         attractor_hull)
+from .similarity import IFS, Similarity, _walk, as_fraction, attractor_hull
 
 _MASS_TOL = 1e-9
 #: most dense measure cells, or convolution (nu cell, mu cell) pairs, that
-#: one call may hold; larger requests raise before allocating
+#: one call may hold; larger requests and output spans raise before
+#: allocating
 _MAX_CELLS = 2 ** 26
+
+
+def _span(level: int, lo: int, hi: int) -> int:
+    """Width of the dense array from cell lo to cell hi; raises past the
+    budget."""
+    span = hi - lo + 1
+    if span > _MAX_CELLS:
+        raise InvalidParameterError(
+            f"a level-{level} measure from cell {lo} to cell {hi} spans "
+            f"{span} cells, over the budget of {_MAX_CELLS}")
+    return span
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -79,11 +90,6 @@ class DyadicMeasure:
                             for i in range(0, m.size, 2 ** 16)])
         return j, m[j]
 
-    def cell_interval(self, j: int) -> Interval:
-        k = self.origin + j
-        return Interval(Fraction(k, 2 ** self.level),
-                        Fraction(k + 1, 2 ** self.level))
-
     @classmethod
     def uniform(cls, level: int) -> "DyadicMeasure":
         """Lebesgue measure on [0, 1) discretized at the given level."""
@@ -97,9 +103,12 @@ class DyadicMeasure:
 
     @classmethod
     def from_cell_masses(cls, level: int, cells: dict) -> "DyadicMeasure":
+        """The measure with mass ``cells[k]`` on cell k; raises
+        `InvalidParameterError` before allocating when the cells span more
+        than `_MAX_CELLS`."""
         ks = sorted(cells)
         origin = ks[0]
-        m = np.zeros(ks[-1] - origin + 1)
+        m = np.zeros(_span(level, origin, ks[-1]))
         for k in ks:
             m[k - origin] = cells[k]
         return cls(level, origin, m)
@@ -289,6 +298,8 @@ def pushforward(g: Similarity, theta: DyadicMeasure,
     Only the nonzero cells of ``theta`` are read.  With g(x) = (p/q) x + u/v,
     the midpoint (2k+1)/2^(L+1) of cell k lands in the output cell
     floor((p(2k+1)v + uq 2^(L+1)) 2^out / (qv 2^(L+1))), an integer floor.
+    An output spanning more than `_MAX_CELLS` cells raises
+    `InvalidParameterError` before allocating.
     """
     if out_level < 0:
         raise InvalidParameterError("level must be >= 0")
@@ -313,7 +324,8 @@ def act_convolve(nu: ParamMeasure, mu: DyadicMeasure,
     mass nu_cell * mu_cell goes to the output cell containing a*x + t.
     The nonzero nu cells (row-major) are broadcast against the nonzero mu
     cells in one array of pairs, binned in that order; more than
-    `_MAX_CELLS` pairs raise `InvalidParameterError` before allocating.
+    `_MAX_CELLS` pairs, or an output spanning more than `_MAX_CELLS` cells,
+    raise `InvalidParameterError` before allocating.
     """
     if out_level < 1:
         raise InvalidParameterError("out_level must be >= 1")
@@ -332,6 +344,7 @@ def act_convolve(nu: ParamMeasure, mu: DyadicMeasure,
     idx = np.floor(y, out=y).astype(np.int64).ravel()
     del y  # at most two arrays of pairs are alive at once
     origin = int(idx.min())
+    _span(out_level, origin, int(idx.max()))
     idx -= origin
     mass = np.multiply.outer(nu.grid[ia, it], w).ravel()
     return DyadicMeasure(out_level, origin, np.bincount(idx, weights=mass))

@@ -79,10 +79,6 @@ class Similarity:
     def __call__(self, x):
         return self.ratio * x + self.translation
 
-    @property
-    def contracting(self) -> bool:
-        return 0 < abs(self.ratio) < 1
-
     def apply(self, iv: Interval) -> Interval:
         """Exact image of a closed interval (endpoints swap if ratio < 0)."""
         a, b = self(iv.lo), self(iv.hi)

@@ -60,6 +60,15 @@ def test_entropy_level_over_budget_is_input_error(files, capsys):
     assert "cells" in captured.err and "budget" in captured.err
 
 
+def test_convolve_output_span_over_budget_is_input_error(files, capsys):
+    code = main(["convolve", files["nu"], files["c13"], "--level", "14",
+                 "--out-level", "27", "--nmin", "4", "--nmax", "12"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cells" in captured.err and "budget" in captured.err
+
+
 def test_convolve_csv(files, capsys):
     code, out = run(capsys, "convolve", files["nu"], files["c13"],
                     "--level", "14", "--out-level", "12",
@@ -114,6 +123,60 @@ def test_renorm_out_matches_golden(files, capsys, monkeypatch, tmp_path,
     assert (tmp_path / "out.csv").read_bytes() == want
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("golden,argv,want_code", [
+    ("dim_c13.txt", ["dim", "c13.json"], 0),
+    ("separation_c13.json", ["separation", "c13.json"], 0),
+    ("separation_c14_depth0.json",
+     ["separation", "c14.json", "--depth", "0"], 0),
+    ("embed_check_consistent.json",
+     ["embed-check", "c19.json", "c13.json", "--g", "1,0", "--res", "2^-16",
+      "--expect", "consistent"], 0),
+    ("embed_check_rejected.json",
+     ["embed-check", "c14.json", "c13.json", "--g", "1,0", "--res", "2^-10",
+      "--expect", "consistent"], 1),
+    ("orbit_log2_log3.txt",
+     ["orbit", "--x", "log(1/2)/log(1/3)", "--N", "20"], 0),
+    ("commensurable_rational.json",
+     ["commensurable", "--alpha", "1/9", "--beta", "1/3"], 0),
+    ("commensurable_incommensurable.json",
+     ["commensurable", "--alpha", "1/2", "--beta", "1/3"], 0),
+    ("exponents_c19_c13.json", ["exponents", "c19.json", "c13.json"], 0),
+])
+def test_stdout_matches_golden(files, capsys, monkeypatch, tmp_path,
+                               golden, argv, want_code):
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, *argv)
+    assert code == want_code
+    assert out == (GOLDEN / golden).read_text()
+
+
+# entropies and Pisot roots come from numpy log2 and LAPACK, which may
+# differ by CPU, so only the lines before them are pinned
+@pytest.mark.parametrize("golden,argv", [
+    ("entropy_c13_head.txt",
+     ["entropy", "c13.json", "--level", "14", "--nmin", "4", "--nmax", "12"]),
+    ("entropy_c13_weights_head.txt",
+     ["entropy", "c13.json", "--level", "10", "--nmin", "4", "--nmax", "8",
+      "--weights", "1/4,3/4"]),
+    ("convolve_c13_head.txt",
+     ["convolve", "nu.json", "c13.json", "--level", "14", "--out-level", "12",
+      "--nmin", "4", "--nmax", "10"]),
+    ("convolve_c13_weights_head.txt",
+     ["convolve", "nu.json", "c13.json", "--level", "12", "--out-level", "10",
+      "--nmin", "4", "--nmax", "8", "--weights", "1/2,1/2"]),
+    ("pisot_head.json", ["pisot", "--poly", "1,-2,-1"]),
+])
+def test_header_matches_golden(files, capsys, monkeypatch, tmp_path,
+                               golden, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith((GOLDEN / golden).read_text())
+
+
 def test_orbit(files, capsys):
     code, out = run(capsys, "orbit", "--x", "log(1/2)/log(1/3)", "--N", "200")
     assert code == 0
@@ -149,6 +212,19 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "line" in captured.err
+
+
+@pytest.mark.parametrize("missing", ["nu", "mu"])
+def test_missing_input_is_input_error(files, capsys, tmp_path, missing):
+    paths = {"nu": files["nu"], "mu": files["c13"],
+             missing: str(tmp_path / "missing.json")}
+    code = main(["convolve", paths["nu"], paths["mu"], "--level", "8",
+                 "--out-level", "8", "--nmin", "4", "--nmax", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ifslab: error:")
+    assert "missing.json" in captured.err
 
 
 def test_precondition_error_is_input_error(files, capsys):

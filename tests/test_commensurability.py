@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifslab import (IFS, InvalidParameterError, Similarity,
                     conjecture_exponents, continued_fraction, is_pisot,
@@ -13,6 +14,21 @@ from ifslab import (IFS, InvalidParameterError, Similarity,
 def ifs_with_ratios(*ratios):
     return IFS(tuple(Similarity(Fraction(r), Fraction(k))
                      for k, r in enumerate(ratios)))
+
+
+unit_fractions = st.fractions(min_value=Fraction(1, 100),
+                              max_value=Fraction(99, 100), max_denominator=100)
+
+
+@st.composite
+def ratio_pairs(draw):
+    """Two ratios in (0, 1): powers of one base half of the time, so that
+    both verdicts come up."""
+    if draw(st.booleans()):
+        return draw(unit_fractions), draw(unit_fractions)
+    base = draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3),
+                                 Fraction(1, 6), Fraction(4, 9)]))
+    return base ** draw(st.integers(1, 4)), base ** draw(st.integers(1, 4))
 
 
 class TestLogCommensurable:
@@ -58,6 +74,16 @@ class TestLogCommensurable:
                 x = mp.log(mp.mpf(a.numerator) / a.denominator) / \
                     mp.log(mp.mpf(b.numerator) / b.denominator)
                 assert abs(x - mp.mpf(res.p) / res.q) < mp.mpf(2) ** -60
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=ratio_pairs())
+    def test_swapped_ratios_give_reciprocal_verdict(self, pair):
+        alpha, beta = pair
+        ab = log_commensurable(alpha, beta)
+        ba = log_commensurable(beta, alpha)
+        assert ab.verdict == ba.verdict
+        if ab.verdict == "rational":
+            assert (ba.p, ba.q) == (ab.q, ab.p)
 
     def test_incommensurable_has_no_convergent_certificate(self):
         a, b = Fraction(1, 2), Fraction(1, 3)
@@ -129,6 +155,14 @@ class TestContinuedFraction:
         for conv in continued_fraction(x, 8):
             q = conv.denominator
             assert abs(x - float(conv)) < 1.0 / q ** 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.fractions(min_value=-50, max_value=50,
+                          max_denominator=10 ** 6),
+           depth=st.integers(1, 30))
+    def test_rational_convergents_approximate(self, x, depth):
+        for conv in continued_fraction(x, depth):
+            assert abs(x - conv) < Fraction(1, conv.denominator ** 2)
 
     def test_invalid_depth(self):
         with pytest.raises(InvalidParameterError):

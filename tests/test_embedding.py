@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ifslab import (IDENTITY, InvalidParameterError, PreconditionError,
+from ifslab import (IDENTITY, IFS, InvalidParameterError, PreconditionError,
                     Similarity, compose, fractional_orbit,
                     renormalize_family, self_embedding_family,
                     verify_embedding)
@@ -26,6 +27,20 @@ def in_c13(x: Fraction, depth=40) -> bool:
     return True  # undecided at this depth; treat as inside
 
 
+small_ifs = st.lists(
+    st.tuples(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
+                               Fraction(1, 4), Fraction(2, 7)]),
+              st.fractions(min_value=0, max_value=1, max_denominator=12)),
+    min_size=2, max_size=3).map(
+    lambda ms: IFS(tuple(Similarity(r, t) for r, t in ms)))
+small_maps = st.builds(
+    Similarity,
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                     Fraction(-1, 3), Fraction(2, 3)]),
+    st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
+                 max_denominator=8))
+
+
 class TestVerifyEmbedding:
     def test_identity_self(self):
         for delta in (Fraction(1, 8), Fraction(1, 2 ** 12)):
@@ -46,6 +61,14 @@ class TestVerifyEmbedding:
         coarse = verify_embedding(IDENTITY, C14, C13, Fraction(1, 2 ** 10))
         fine = verify_embedding(IDENTITY, C14, C13, Fraction(1, 2 ** 14))
         assert coarse.status == fine.status == "rejected"
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_maps, F=small_ifs, E=small_ifs, k=st.integers(1, 5))
+    def test_rejection_is_monotone_in_resolution(self, g, F, E, k):
+        # ratios <= 1/2 and delta >= 2^-6 keep each cover under 3^9 cylinders
+        delta = Fraction(1, 2 ** k)
+        if verify_embedding(g, F, E, delta).status == "rejected":
+            assert verify_embedding(g, F, E, delta / 2).status == "rejected"
 
     def test_true_embedding_consistent_at_all_resolutions(self):
         for k in (6, 10, 14):

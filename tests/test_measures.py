@@ -10,6 +10,7 @@ from ifslab import (DyadicMeasure, IDENTITY, InvalidParameterError,
                     ParamMeasure, Similarity, act_convolve, cylinder_cover,
                     cylinder_map, entropy_dimension, pushforward,
                     self_similar_measure, shannon_entropy)
+from ifslab.measures import _MAX_CELLS
 from ifslab.presets import C13, HALVES
 
 LOG2_3 = math.log(2) / math.log(3)
@@ -84,6 +85,18 @@ class TestCellBudget:
         with pytest.raises(InvalidParameterError, match="pairs"):
             act_convolve(nu, mu, 10)
         assert time.perf_counter() - start < 1.0
+
+    def test_output_span_fails_fast(self):
+        # two cells with midpoints 1/4 and 3/4 land 2^(L-1) + 1 cells apart
+        theta = DyadicMeasure(1, 0, np.array([0.5, 0.5]))
+        out_level = _MAX_CELLS.bit_length()
+        nu = ParamMeasure.point_mass(1.0, 0.0)
+        for image in (lambda: pushforward(IDENTITY, theta, out_level),
+                      lambda: act_convolve(nu, theta, out_level)):
+            start = time.perf_counter()
+            with pytest.raises(InvalidParameterError, match="cells"):
+                image()
+            assert time.perf_counter() - start < 1.0
 
 
 class TestShannonEntropy:
