@@ -312,12 +312,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text, code = args.func(args)
-    except (IfslabError, ValueError) as e:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+    except (IfslabError, ValueError, OSError) as e:
         print(f"ifslab: error: {e}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     sys.stdout.write(text)
     return code
 

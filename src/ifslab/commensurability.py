@@ -2,35 +2,34 @@
 ratios, exponent-relation solving, continued fractions, and a Pisot-number
 predicate.
 
-Commensurability is decided by prime factorization, never by floating
-point: log(alpha)/log(beta) is rational iff the prime-exponent vectors of
-alpha and beta are parallel, and the emitted certificate alpha^q == beta^p
-is checked in exact rational arithmetic.
+Commensurability is decided exactly over a coprime base: gcds split all
+numerators and denominators into pairwise-coprime, hence multiplicatively
+independent, factors b > 1, and log(alpha)/log(beta) is rational iff the
+exponent vectors of alpha and beta over them are parallel.  The emitted
+certificate alpha^q == beta^p is checked in exact rational arithmetic.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
-import sympy
 
 from .errors import InvalidParameterError, PreconditionError
 from .similarity import IFS, as_fraction
 
-# inputs whose numerator or denominator exceeds this many bits are not
-# factored; the verdict degrades to "unknown" instead of hanging
-_FACTOR_BIT_LIMIT = 128
+# certificates name witness primes that trial division below this finds
+_TRIAL_LIMIT = 1 << 16
 
 _PISOT_BOUNDARY = 1e-9
 
 
 @dataclass(frozen=True)
 class CommensurabilityResult:
-    verdict: str                      # "rational", "incommensurable", "unknown"
+    verdict: str                      # "rational" or "incommensurable"
     p: Optional[int] = None           # log(alpha)/log(beta) = p/q, gcd = 1
     q: Optional[int] = None
     certificate: str = ""
@@ -56,13 +55,44 @@ class PisotVerdict:
     max_residual: float = 0.0
 
 
-def _exponent_vector(x: Fraction) -> Dict[int, int]:
-    v: Dict[int, int] = {}
-    for prime, e in sympy.factorint(x.numerator).items():
-        v[int(prime)] = v.get(int(prime), 0) + e
-    for prime, e in sympy.factorint(x.denominator).items():
-        v[int(prime)] = v.get(int(prime), 0) - e
-    return {prime: e for prime, e in v.items() if e != 0}
+def _coprime_base(ns: Iterable[int]) -> List[int]:
+    """Ascending pairwise-coprime b > 1 of which each n is a product of
+    powers, by gcd refinement: n sharing g > 1 with b gives way to g, b/g
+    and n/g, so the product of all numbers held falls and the loop ends."""
+    base: List[int] = []
+    todo = list(ns)
+    while todo:
+        n = todo.pop()
+        b = next((b for b in base if math.gcd(n, b) > 1), None)
+        if b is not None:
+            base.remove(b)
+            g = math.gcd(n, b)
+            todo += [g, b // g, n // g]
+        elif n > 1:
+            base.append(n)
+    return sorted(base)
+
+
+def _exponent_vector(x: Fraction, base: Sequence[int]) -> List[int]:
+    """The exponents e_b with x = prod b^e_b over a coprime ``base``."""
+    vec = []
+    for b in base:
+        e = 0
+        for n, sign in ((x.numerator, 1), (x.denominator, -1)):
+            while n % b == 0:
+                n, e = n // b, e + sign
+        vec.append(e)
+    return vec
+
+
+def _witness(elements: Sequence[int]) -> Tuple[int, str]:
+    """The witness among ``elements`` and the name of its prime: the one
+    divisible by the least prime p that divides any of them, named "p", if
+    trial division below _TRIAL_LIMIT finds p; else the least one, b, "p|b"."""
+    n = math.prod(elements)
+    p = next((p for p in range(2, _TRIAL_LIMIT) if n % p == 0), None)
+    b = min(elements) if p is None else next(b for b in elements if b % p == 0)
+    return b, str(p) if p else f"p|{b}"
 
 
 def log_commensurable(alpha, beta) -> CommensurabilityResult:
@@ -71,24 +101,22 @@ def log_commensurable(alpha, beta) -> CommensurabilityResult:
     for x in (alpha, beta):
         if not 0 < x < 1:
             raise InvalidParameterError(f"ratio {x} outside (0,1)")
-    for x in (alpha, beta):
-        if max(x.numerator.bit_length(), x.denominator.bit_length()) > _FACTOR_BIT_LIMIT:
-            return CommensurabilityResult(
-                "unknown", certificate="input exceeds factorization bound")
-    va, vb = _exponent_vector(alpha), _exponent_vector(beta)
-    if set(va) != set(vb):
-        prime = sorted(set(va) ^ set(vb))[0]
+    base = _coprime_base([alpha.numerator, alpha.denominator,
+                          beta.numerator, beta.denominator])
+    va, vb = _exponent_vector(alpha, base), _exponent_vector(beta, base)
+    one_sided = [b for b, x, y in zip(base, va, vb) if (x == 0) != (y == 0)]
+    if one_sided:
+        name = _witness(one_sided)[1]
+        return CommensurabilityResult("incommensurable", certificate=(
+            f"prime {name} divides exactly one of the ratios"))
+    ratio = {b: Fraction(x, y) for b, x, y in zip(base, va, vb)}
+    if len(set(ratio.values())) > 1:
+        b0, p0 = _witness(base)
+        _, p = _witness([b for b in base if ratio[b] != ratio[b0]])
         return CommensurabilityResult(
             "incommensurable",
-            certificate=f"prime {prime} divides exactly one of the ratios")
-    primes = sorted(va)
-    r = Fraction(va[primes[0]], vb[primes[0]])
-    for prime in primes[1:]:
-        if Fraction(va[prime], vb[prime]) != r:
-            return CommensurabilityResult(
-                "incommensurable",
-                certificate=(f"exponent mismatch between primes "
-                             f"{primes[0]} and {prime}"))
+            certificate=f"exponent mismatch between primes {p0} and {p}")
+    r = ratio[base[0]]
     p, q = r.numerator, r.denominator
     if r <= 0 or alpha ** q != beta ** p:
         raise PreconditionError(
@@ -102,40 +130,41 @@ def conjecture_exponents(F: IFS, E: IFS) -> ExponentMatrix:
     """Rational exponents t with alpha_i = prod_j beta_j^{t_ij}, per row.
 
     Identical beta_j are merged before solving; the first occurrence
-    carries the whole exponent and its duplicates get 0.  Rows outside the
-    rational span come back as None; negative entries are flagged.
+    carries the whole exponent and its duplicates get 0.  Gauss-Jordan
+    elimination over the coprime base pivots on the leftmost independent
+    beta_j and gives the others 0.  Rows outside the rational span come
+    back as None; negative entries are flagged.
     """
     betas = list(E.ratios)
     first_index: Dict[Fraction, int] = {}
     for j, b in enumerate(betas):
         first_index.setdefault(b, j)
     uniq = sorted(first_index, key=first_index.get)
-    cols = [_exponent_vector(b) for b in uniq]
-    primes = sorted(set().union(*cols))
-    M = sympy.Matrix([[sympy.Rational(c.get(pr, 0)) for c in cols]
-                      for pr in primes])
-    syms = sympy.symbols(f"t0:{len(uniq)}")
+    base = _coprime_base(n for x in (*uniq, *F.ratios)
+                         for n in (x.numerator, x.denominator))
+    # a row per base element: the exponents of each beta, then of each alpha
+    system = [[Fraction(e) for e in row] for row in
+              zip(*(_exponent_vector(x, base) for x in (*uniq, *F.ratios)))]
+    pivots: List[int] = []
+    for c in range(len(uniq)):
+        r = len(pivots)
+        k = next((i for i in range(r, len(system)) if system[i][c]), None)
+        if k is None:
+            continue
+        system[k], system[r] = system[r], [x / system[k][c] for x in system[k]]
+        system = [row if i == r else
+                  [x - row[c] * y for x, y in zip(row, system[r])]
+                  for i, row in enumerate(system)]
+        pivots.append(c)
 
     rows: List[Optional[Tuple[Fraction, ...]]] = []
     negs: List[bool] = []
-    for a in F.ratios:
-        va = _exponent_vector(a)
-        if not set(va) <= set(primes):
-            rows.append(None)
-            negs.append(False)
-            continue
-        v = sympy.Matrix([sympy.Rational(va.get(pr, 0)) for pr in primes])
-        sol = sympy.linsolve((M, v), list(syms))
-        if not sol:
-            rows.append(None)
-            negs.append(False)
-            continue
-        tup = next(iter(sol))
-        tup = tuple(expr.subs({s: 0 for s in syms}) for expr in tup)
+    for j, a in enumerate(F.ratios, len(uniq)):
         full = [Fraction(0)] * len(betas)
-        for k, b in enumerate(uniq):
-            full[first_index[b]] = Fraction(int(tup[k].p), int(tup[k].q))
-        if not _verify_row(a, betas, full):
+        for row, c in zip(system, pivots):
+            full[first_index[uniq[c]]] = row[j]
+        if any(row[j] for row in system[len(pivots):]) or \
+                not _verify_row(a, betas, full):
             rows.append(None)
             negs.append(False)
             continue
@@ -158,17 +187,18 @@ def continued_fraction(x, depth: int) -> List[Fraction]:
     """Continued-fraction convergents p_k/q_k of x, at most ``depth`` deep.
 
     Exact for rational x (terminates early); high-precision mpmath
-    otherwise.  Every convergent satisfies |x - p/q| < 1/q^2.
+    otherwise.  A float equal to its ``limit_denominator(10**6)`` is taken
+    as that rational, so 0.1 gives [0, 1/10].  Every convergent satisfies
+    |x - p/q| < 1/q^2.
     """
     if depth < 1:
         raise InvalidParameterError("depth must be >= 1")
-    exact = isinstance(x, (int, Fraction)) or (
-        isinstance(x, float) and float(Fraction(x).limit_denominator(10 ** 6)) == x)
-    if exact:
-        rem: Optional[Fraction] = Fraction(x).limit_denominator(10 ** 6) \
-            if isinstance(x, float) else Fraction(x)
-    else:
-        rem = None
+    if isinstance(x, float):
+        r = Fraction(x).limit_denominator(10 ** 6)
+        x = r if float(r) == x else x
+    exact = isinstance(x, (int, Fraction))
+    rem: Optional[Fraction] = Fraction(x) if exact else None
+    if not exact:
         with mp.workdps(60):
             z = mp.mpf(x)
 

@@ -240,6 +240,15 @@ def test_out_file_matches_stdout(files, capsys, tmp_path):
     assert out_path.read_text() == out
 
 
+def test_unwritable_out_is_input_error(files, capsys, tmp_path):
+    code = main(["dim", files["c13"], "--out",
+                 str(tmp_path / "no" / "such" / "dir" / "x.txt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ifslab: error:")
+
+
 def test_headers_echo_config(files, capsys):
     _, out = run(capsys, "entropy", files["c13"], "--level", "8",
                  "--nmin", "4", "--nmax", "7")

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 from ifslab import (IFS, InvalidParameterError, Similarity,
                     conjecture_exponents, continued_fraction, is_pisot,
                     log_commensurable)
+
+
+M61, M89 = 2 ** 61 - 1, 2 ** 89 - 1    # Mersenne primes, no factor below 2^16
 
 
 def ifs_with_ratios(*ratios):
@@ -61,6 +66,44 @@ class TestLogCommensurable:
     def test_out_of_range(self):
         with pytest.raises(InvalidParameterError):
             log_commensurable(Fraction(3, 2), Fraction(1, 2))
+
+    def test_large_power_is_rational(self):
+        # 3^-81 has 129 bits; its verdict is exact all the same
+        res = log_commensurable(Fraction(1, 3 ** 81), Fraction(1, 3))
+        assert (res.verdict, res.p, res.q) == ("rational", 81, 1)
+
+    @pytest.mark.parametrize("alpha,beta,certificate", [
+        pytest.param(Fraction(1, M61 * M89), Fraction(1, (M61 * M89) ** 3),
+                     None, id="rational"),
+        pytest.param(Fraction(1, M61), Fraction(1, M89),
+                     f"prime p|{M61} divides exactly one of the ratios",
+                     id="one-sided-huge"),
+        pytest.param(Fraction(1, 2 * M89), Fraction(1, M61),
+                     "prime 2 divides exactly one of the ratios",
+                     id="one-sided-mixed"),
+        pytest.param(Fraction(1, M61 ** 2 * M89), Fraction(1, M61 * M89),
+                     f"exponent mismatch between primes p|{M61} and p|{M89}",
+                     id="mismatch-huge"),
+        pytest.param(Fraction(1, 2 * M61 ** 2 * M89),
+                     Fraction(1, 2 * M61 * M89),
+                     f"exponent mismatch between primes 2 and p|{M61}",
+                     id="mismatch-mixed"),
+    ])
+    def test_large_inputs(self, alpha, beta, certificate):
+        # a base element with no prime below 2^16 is named "p|b"
+        res = log_commensurable(alpha, beta)
+        if certificate is None:
+            assert (res.verdict, res.p, res.q) == ("rational", 1, 3)
+        else:
+            assert (res.verdict, res.certificate) == ("incommensurable",
+                                                      certificate)
+
+    def test_import_loads_no_sympy(self):
+        code = ("import sys, ifslab; "
+                "print([m for m in sys.modules if m.startswith('sympy')])")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_round_trip_against_high_precision(self):
         cases = [(Fraction(1, 9), Fraction(1, 3)),
@@ -143,6 +186,9 @@ class TestContinuedFraction:
 
     def test_integer(self):
         assert continued_fraction(2.0, 3) == [Fraction(2)]
+
+    def test_float_equal_to_small_rational_is_that_rational(self):
+        assert continued_fraction(0.1, 3) == [Fraction(0), Fraction(1, 10)]
 
     def test_log23_convergents(self):
         # frozen from a 60-digit oracle; note 5/8 (not the mediant 7/11)

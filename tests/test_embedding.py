@@ -106,6 +106,15 @@ class TestRenormalizeFamily:
         q = fam.log_ratio.denominator
         assert len({e.frac_exact for e in fam.entries}) <= q
 
+    def test_large_exact_log_ratio(self):
+        # ratios 3^-81 have 129 bits; their log-ratio 81 is still exact
+        r = Fraction(1, 3 ** 81)
+        F = IFS((Similarity(r, 0), Similarity(r, 1 - r)))
+        fam = renormalize_family(IDENTITY, F, C13, 1, 3, Fraction(1, 16))
+        assert fam.log_ratio == 81 and fam.entries
+        for e in fam.entries:
+            assert e.frac_exact == 0 and e.eta_exact == Fraction(1, 9)
+
     def test_empty_range(self):
         fam = renormalize_family(IDENTITY, C19, C13, 1, 0)
         assert fam.entries == ()

@@ -10,7 +10,10 @@ the library's descent must find the same word and cylinder map, or fail
 at the same depth.  The dense coarsening, the per-cell `Fraction`
 pushforward and the per-grid-cell convolution loop are the measure
 readers that scanned every dense cell; the library must give the same
-entropies, slopes and intercepts, and bit-identical image measures.
+entropies, slopes and intercepts, and bit-identical image measures.  The
+sympy prime-vector verdict and exponent solve are the commensurability
+code the coprime base replaced; the library must return the same results,
+certificates included, wherever every prime lies below the trial bound.
 """
 import math
 import random
@@ -18,8 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
+import ifslab.commensurability as commensurability_module
 import ifslab.embedding as embedding_module
 import ifslab.measures as measures_module
 import ifslab.similarity as similarity_module
@@ -532,3 +537,116 @@ def test_measure_readers_match_references_on_self_similar(ifs, level):
                ParamMeasure.uniform((1 / 3, 1.0), (0.0, 0.5), (5, 3))):
         assert_same_measure(act_convolve(nu, theta, level - 1),
                             ref_act_convolve(nu, theta, level - 1))
+
+
+# -- commensurability against prime factorization --------------------------
+
+def ref_exponent_vector(x):
+    v = {}
+    for prime, e in sympy.factorint(x.numerator).items():
+        v[int(prime)] = v.get(int(prime), 0) + e
+    for prime, e in sympy.factorint(x.denominator).items():
+        v[int(prime)] = v.get(int(prime), 0) - e
+    return {prime: e for prime, e in v.items() if e != 0}
+
+
+def ref_log_commensurable(alpha, beta):
+    """Prime-vector verdict, for inputs of at most 128 bits."""
+    Result = commensurability_module.CommensurabilityResult
+    va, vb = ref_exponent_vector(alpha), ref_exponent_vector(beta)
+    if set(va) != set(vb):
+        prime = sorted(set(va) ^ set(vb))[0]
+        return Result("incommensurable", certificate=(
+            f"prime {prime} divides exactly one of the ratios"))
+    primes = sorted(va)
+    r = Fraction(va[primes[0]], vb[primes[0]])
+    for prime in primes[1:]:
+        if Fraction(va[prime], vb[prime]) != r:
+            return Result("incommensurable", certificate=(
+                f"exponent mismatch between primes {primes[0]} and {prime}"))
+    p, q = r.numerator, r.denominator
+    assert r > 0 and alpha ** q == beta ** p
+    return Result("rational", p, q,
+                  certificate=f"({beta})^{p} == ({alpha})^{q}")
+
+
+def ref_conjecture_exponents(F, E):
+    """sympy `linsolve` on the prime rows, free symbols set to 0."""
+    betas = list(E.ratios)
+    first_index = {}
+    for j, b in enumerate(betas):
+        first_index.setdefault(b, j)
+    uniq = sorted(first_index, key=first_index.get)
+    cols = [ref_exponent_vector(b) for b in uniq]
+    primes = sorted(set().union(*cols))
+    M = sympy.Matrix([[sympy.Rational(c.get(pr, 0)) for c in cols]
+                      for pr in primes])
+    syms = sympy.symbols(f"t0:{len(uniq)}")
+    rows, negs = [], []
+    for a in F.ratios:
+        va = ref_exponent_vector(a)
+        sol = None
+        if set(va) <= set(primes):
+            v = sympy.Matrix([sympy.Rational(va.get(pr, 0)) for pr in primes])
+            sol = sympy.linsolve((M, v), list(syms))
+        if not sol:
+            rows.append(None)
+            negs.append(False)
+            continue
+        tup = [e.subs({s: 0 for s in syms}) for e in next(iter(sol))]
+        full = [Fraction(0)] * len(betas)
+        for k, b in enumerate(uniq):
+            full[first_index[b]] = Fraction(int(tup[k].p), int(tup[k].q))
+        if not commensurability_module._verify_row(a, betas, full):
+            rows.append(None)
+            negs.append(False)
+            continue
+        rows.append(tuple(full))
+        negs.append(any(t < 0 for t in full))
+    return commensurability_module.ExponentMatrix(tuple(rows), tuple(negs))
+
+
+#: factors below the trial bound, so that certificates name true primes
+small_factors = st.integers(2, (1 << 16) - 1)
+
+
+@st.composite
+def atom_powers(draw, count):
+    """``count`` ratios in (0, 1) of at most 128 bits, each a product of
+    integer powers of one to three shared rational atoms; exponents in
+    proportion, disjoint supports and mismatches all come up."""
+    atoms = draw(st.lists(st.tuples(small_factors, small_factors)
+                          .map(lambda t: Fraction(*t))
+                          .filter(lambda a: a != 1), min_size=1, max_size=3))
+    out = []
+    for _ in range(count):
+        x = math.prod((a ** draw(st.integers(-3, 3)) for a in atoms),
+                      start=Fraction(1))
+        assume(x != 1)
+        x = min(x, 1 / x)
+        assume(max(x.numerator, x.denominator).bit_length() <= 128)
+        out.append(x)
+    return out
+
+
+def ratio_ifs(ratios):
+    return IFS(tuple(sim(r, k) for k, r in enumerate(ratios)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=atom_powers(2))
+def test_log_commensurable_matches_prime_vectors_property(pair):
+    alpha, beta = pair
+    assert (commensurability_module.log_commensurable(alpha, beta)
+            == ref_log_commensurable(alpha, beta))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_f=st.integers(2, 3), n_e=st.integers(2, 4))
+def test_conjecture_exponents_match_linsolve_property(data, n_f, n_e):
+    ratios = data.draw(atom_powers(n_f + n_e))
+    if data.draw(st.booleans()):
+        ratios[-1] = ratios[n_f]           # a duplicate beta
+    F, E = ratio_ifs(ratios[:n_f]), ratio_ifs(ratios[n_f:])
+    assert (commensurability_module.conjecture_exponents(F, E)
+            == ref_conjecture_exponents(F, E))
