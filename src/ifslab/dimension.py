@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import InvalidParameterError
-from .similarity import IFS, Interval, _walk, attractor_hull
+from .similarity import IFS, Interval, _hulls, attractor_hull
 
 # depth-4 refinement is tried first, deepening to 12 while inconclusive,
 # subject to a cap on the number of refined intervals per map
@@ -56,9 +56,8 @@ def similarity_dimension(ifs: IFS) -> float:
 
 def _level_intervals(ifs: IFS, depth: int) -> List[Interval]:
     """Hull images of all words of exactly the given length, one level set."""
-    hull = attractor_hull(ifs)
-    return [g.apply(hull) for _, g in
-            _walk(ifs, lambda word, _: len(word) == depth)]
+    return [iv for _, iv in
+            _hulls(ifs, lambda word, _a, _d: len(word) == depth)]
 
 
 def _merge(intervals: List[Interval]) -> List[Interval]:
@@ -88,8 +87,10 @@ def _distance_to_union(iv: Interval, union: List[Interval], los) -> Fraction:
 
 def _gap_at_depth(ifs: IFS, depth: int) -> Fraction:
     """Certified lower bound for min_{i != j} d(phi_i(F), phi_j(F))."""
-    base = _level_intervals(ifs, depth)
-    covers = [[phi.apply(iv) for iv in base] for phi in ifs.maps]
+    # phi_i of the depth-d level set is block i of the depth-(d + 1) one
+    level = _level_intervals(ifs, depth + 1)
+    size = len(level) // len(ifs)
+    covers = [level[k:k + size] for k in range(0, len(level), size)]
     gap: Optional[Fraction] = None
     for i in range(len(covers)):
         for j in range(i + 1, len(covers)):

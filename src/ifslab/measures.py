@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -213,27 +212,29 @@ def self_similar_measure(ifs: IFS, weights, level: int) -> DyadicMeasure:
             raise InvalidParameterError("weights must be a probability vector")
 
     hull = attractor_hull(ifs)
-    diameter, mid = hull.diameter, hull.midpoint
-    delta = Fraction(1, 2 ** level)
-    two_n = 2 ** level
     # every cell lies within half a cell of the hull of the positive-weight
     # maps' fixed points, which holds their attractor
     fps = [m.translation / (1 - m.ratio) for m, w in zip(ifs.maps, p) if w]
-    span = math.floor((max(fps) - min(fps)) * two_n) + 2
+    span = math.floor((max(fps) - min(fps)) * 2 ** level) + 2
     if span > _MAX_CELLS:
         raise InvalidParameterError(
             f"a level-{level} measure may span {span} cells, over the "
             f"budget of {_MAX_CELLS}")
 
-    def stop(word, g):
+    # cross-multiplied: the image's diameter (A / D) * diameter <= 2^-level,
+    # and the cell of the image of the midpoint, (A mid + B) / D
+    u, v = (hull.diameter * 2 ** level).as_integer_ratio()
+    mn, md = hull.midpoint.as_integer_ratio()
+
+    def stop(word, a, d):
         # a zero weight ends its branch, which then carries no mass
-        return g.ratio * diameter <= delta or (word and p[word[-1] - 1] == 0.0)
+        return a * u <= d * v or (word and p[word[-1] - 1] == 0.0)
 
     cells: dict = {}
-    for word, g in _walk(ifs, stop):
+    for word, a, b, d in _walk(ifs, stop):
         mass = math.prod((p[i - 1] for i in word), start=1.0)
         if mass != 0.0:
-            k = math.floor(g(mid) * two_n)
+            k = ((a * mn + b * md) << level) // (d * md)
             cells[k] = cells.get(k, 0.0) + mass
     return DyadicMeasure.from_cell_masses(level, cells)
 

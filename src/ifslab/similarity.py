@@ -1,12 +1,13 @@
 """Exact algebra of similarities of the line, IFSs, words and cylinder maps.
 
-All arithmetic here is exact rational (`fractions.Fraction`); certified
-containment checks elsewhere depend on exact interval endpoints, so no
-floating point enters this module.
+All arithmetic here is exact, as certified containment checks elsewhere
+depend on exact interval endpoints: maps and intervals are `Fraction`s, and
+cylinder expansion (`_walk`) runs on integers over powers of one denominator.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Tuple, Union
@@ -164,22 +165,41 @@ def attractor_hull(ifs: IFS) -> Interval:
     return Interval(min(fps), max(fps))
 
 
-def _walk(ifs: IFS, stop: Callable[[Word, Similarity], bool]
-          ) -> Iterator[Tuple[Word, Similarity]]:
+def _walk(ifs: IFS, stop: Callable[[Word, int, int], bool]
+          ) -> Iterator[Tuple[Word, int, int, int]]:
     """Depth-first expansion of the word tree of ``ifs``.
 
-    Yields (word, cylinder map) at every node where ``stop(word, map)``
-    first holds, in lexicographic word order; the children of every other
-    node are expanded.
+    A node ``(word, A, B, D)`` is the cylinder map x -> (A x + B) / D, exact
+    and never reduced: with map i as x -> (a_i x + b_i) / Q over the common
+    denominator Q, the child ``word + (i,)`` is ``(A a_i, A b_i + B Q, D Q)``.
+    Yields the node where ``stop(word, A, D)`` first holds, in lexicographic
+    word order; the children of every other node are expanded.
     """
-    stack = [((), IDENTITY)]
+    q = math.lcm(*(x.denominator for m in ifs.maps
+                   for x in (m.ratio, m.translation)))
+    steps = [(i, int(m.ratio * q), int(m.translation * q))
+             for i, m in reversed(list(enumerate(ifs.maps, 1)))]
+    stack = [((), 1, 0, 1)]
     while stack:
-        word, g = stack.pop()
-        if stop(word, g):
-            yield word, g
+        word, a, b, d = node = stack.pop()
+        if stop(word, a, d):
+            yield node
         else:
-            for i in range(len(ifs), 0, -1):
-                stack.append((word + (i,), compose(g, ifs.maps[i - 1])))
+            bq, dq = b * q, d * q
+            for i, r, t in steps:
+                stack.append((word + (i,), a * r, a * t + bq, dq))
+
+
+def _hulls(ifs: IFS, stop: Callable[[Word, int, int], bool]
+           ) -> Iterator[Tuple[Word, Interval]]:
+    """(word, exact hull image) at each leaf of ``_walk(ifs, stop)``; ratios
+    are positive, so the ends keep their order."""
+    hull = attractor_hull(ifs)
+    ln, ld = hull.lo.as_integer_ratio()
+    hn, hd = hull.hi.as_integer_ratio()
+    for word, a, b, d in _walk(ifs, stop):
+        yield word, Interval(Fraction(a * ln + b * ld, d * ld),
+                             Fraction(a * hn + b * hd, d * hd))
 
 
 def cylinder_cover(ifs: IFS, delta: RationalLike):
@@ -192,8 +212,6 @@ def cylinder_cover(ifs: IFS, delta: RationalLike):
     delta = as_fraction(delta)
     if delta <= 0:
         raise InvalidParameterError("cover resolution delta must be > 0")
-    hull = attractor_hull(ifs)
-    diameter = hull.diameter
-    # ratios are positive, so ratio * diameter is the image's diameter
-    return [(word, g.apply(hull)) for word, g in
-            _walk(ifs, lambda _, g: g.ratio * diameter <= delta)]
+    # the image's diameter (A / D) * diameter <= delta, cross-multiplied
+    u, v = (attractor_hull(ifs).diameter / delta).as_integer_ratio()
+    return list(_hulls(ifs, lambda _, a, d: a * u <= d * v))

@@ -5,9 +5,12 @@ The three reference loops below are the stand-alone expansions that
 `cylinder_cover`, `self_similar_measure` and `dimension._level_intervals`
 once carried each.  The library must reproduce them exactly: the same
 (word, interval) lists, the same measure origin and bit-identical masses.
-The reference descent recomposes each candidate cylinder from the root;
-the library's descent must find the same word and cylinder map, or fail
-at the same depth.  The dense coarsening, the per-cell `Fraction`
+The integer cylinder walk must give, at every node, the ratio and
+translation of `cylinder_map`, and the separation gap must equal the one
+taken by applying each first-level map to a level set.  The reference
+descent recomposes each candidate cylinder from the root; the library's
+descent must find the same word and cylinder map, or fail at the same
+depth.  The dense coarsening, the per-cell `Fraction`
 pushforward and the per-grid-cell convolution loop are the measure
 readers that scanned every dense cell; the library must give the same
 entropies, slopes and intercepts, and bit-identical image measures.  The
@@ -34,7 +37,8 @@ from ifslab import (IDENTITY, IFS, DyadicMeasure, Interval, ParamMeasure,
                     entropy_dimension, pushforward, renormalize_family,
                     self_embedding_family, self_similar_measure,
                     shannon_entropy, similarity_dimension, verify_embedding)
-from ifslab.dimension import _level_intervals
+from ifslab.dimension import (_distance_to_union, _gap_at_depth,
+                              _level_intervals, _merge)
 from ifslab.presets import C13, C14, C19, HALVES
 
 
@@ -104,6 +108,24 @@ def ref_level_intervals(ifs, depth):
     for _ in range(depth):
         maps = [compose(g, phi) for g in maps for phi in ifs.maps]
     return [g.apply(hull) for g in maps]
+
+
+def ref_gap_at_depth(ifs, depth):
+    """Applies each first-level map to the depth-d level set."""
+    base = ref_level_intervals(ifs, depth)
+    covers = [[phi.apply(iv) for iv in base] for phi in ifs.maps]
+    gap = None
+    for i in range(len(covers)):
+        for j in range(i + 1, len(covers)):
+            union = _merge(covers[j])
+            los = [u.lo for u in union]
+            for iv in covers[i]:
+                d = _distance_to_union(iv, union, los)
+                if gap is None or d < gap:
+                    gap = d
+                if gap == 0:
+                    return Fraction(0)
+    return gap
 
 
 def ref_locate_unique_cylinder(E, hull, target, depth):
@@ -198,6 +220,41 @@ def test_walk_matches_reference_property(ifs, k, depth, raw):
                         ref_self_similar_measure(ifs, p, k))
 
 
+def denominators(ifs):
+    return {x.denominator for m in ifs.maps for x in (m.ratio, m.translation)}
+
+
+#: inhomogeneous, and no single ratio or translation denominator is the
+#: common one, e.g. ratio 2/7 with translation 5/12
+mixed_ifs = small_ifs.filter(
+    lambda ifs: not ifs.homogeneous()
+    and math.lcm(*denominators(ifs)) not in denominators(ifs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ifs=mixed_ifs, k=st.integers(0, 5), depth=st.integers(0, 3))
+def test_integer_walk_matches_cylinder_maps_property(ifs, k, depth):
+    # the stop of a 2^-k cover, so the leaves have words of mixed lengths
+    q = math.lcm(*denominators(ifs))
+    diameter = attractor_hull(ifs).diameter
+    nodes = []
+
+    def stop(word, a, d):
+        nodes.append((word, a, d))
+        return Fraction(a, d) * diameter <= Fraction(1, 2 ** k)
+
+    leaves = list(similarity_module._walk(ifs, stop))
+    assert [word for word, *_ in leaves] == \
+        [word for word, _ in ref_cylinder_cover(ifs, Fraction(1, 2 ** k))]
+    for word, a, d in nodes:
+        assert d == q ** len(word)
+        assert Fraction(a, d) == cylinder_map(ifs, word).ratio
+    for word, a, b, d in leaves:
+        g = cylinder_map(ifs, word)
+        assert (Fraction(a, d), Fraction(b, d)) == (g.ratio, g.translation)
+    assert _gap_at_depth(ifs, depth) == ref_gap_at_depth(ifs, depth)
+
+
 def descent_outcome(locate, E, hull, target, depth):
     try:
         return locate(E, hull, target, depth)
@@ -236,18 +293,16 @@ def test_descent_matches_reference_property(case):
 
 
 def test_zero_weight_branches_are_not_expanded(monkeypatch):
-    # without pruning this expansion has 2^40 leaves; the budget turns
-    # that into a failure instead of a hang
-    calls = [0]
-    real = similarity_module.compose
+    # without pruning this expansion has 2^40 leaves; the budget on the
+    # leaves the walk yields turns that into a failure instead of a hang
+    real = measures_module._walk
 
-    def counting(g, h):
-        calls[0] += 1
-        assert calls[0] < 1000, "zero-weight branches are being expanded"
-        return real(g, h)
+    def counting(ifs, stop):
+        for leaves, node in enumerate(real(ifs, stop), 1):
+            assert leaves < 1000, "zero-weight branches are being expanded"
+            yield node
 
-    monkeypatch.setattr(similarity_module, "compose", counting)
-    monkeypatch.setattr(measures_module, "compose", counting, raising=False)
+    monkeypatch.setattr(measures_module, "_walk", counting)
     theta = self_similar_measure(HALVES, [1.0, 0.0], 40)
     assert (theta.origin, theta.masses.tolist()) == (0, [1.0])
 
