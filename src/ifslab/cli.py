@@ -14,8 +14,6 @@ import sys
 from fractions import Fraction
 from typing import Tuple
 
-import mpmath as mp
-
 from . import __version__
 from . import commensurability as comm
 from .dimension import check_osc_hull, similarity_dimension, ssc_gap
@@ -48,10 +46,8 @@ def _parse_g(text: str) -> Similarity:
 def _parse_x(text: str):
     m = _LOGQ.match(text.strip())
     if m:
-        a, b = _parse_rational(m.group(1)), _parse_rational(m.group(2))
-        with mp.workdps(40):
-            return mp.log(mp.mpf(a.numerator) / a.denominator) / \
-                mp.log(mp.mpf(b.numerator) / b.denominator)
+        return comm._log_ratio(_parse_rational(m.group(1)),
+                               _parse_rational(m.group(2)), 40)
     try:
         return _parse_rational(text)
     except IfslabError:

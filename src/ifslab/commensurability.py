@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import mpmath as mp
 import numpy as np
 
 from .errors import InvalidParameterError, PreconditionError
@@ -126,6 +126,18 @@ def log_commensurable(alpha, beta) -> CommensurabilityResult:
         "rational", p, q, certificate=f"({beta})^{p} == ({alpha})^{q}")
 
 
+def _log_ratio(alpha, beta, digits: int) -> Decimal:
+    """log(alpha)/log(beta) at ``digits`` significant digits, from
+    correctly rounded decimal logarithms."""
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
+    if alpha <= 0 or beta <= 0 or beta == 1:
+        raise InvalidParameterError(
+            f"log({alpha})/log({beta}) is not a real number")
+    with localcontext(Context(prec=digits)):
+        return (Decimal(alpha.numerator) / alpha.denominator).ln() / \
+            (Decimal(beta.numerator) / beta.denominator).ln()
+
+
 def conjecture_exponents(F: IFS, E: IFS) -> ExponentMatrix:
     """Rational exponents t with alpha_i = prod_j beta_j^{t_ij}, per row.
 
@@ -186,48 +198,30 @@ def _verify_row(alpha: Fraction, betas: Sequence[Fraction],
 def continued_fraction(x, depth: int) -> List[Fraction]:
     """Continued-fraction convergents p_k/q_k of x, at most ``depth`` deep.
 
-    Exact for rational x (terminates early); high-precision mpmath
-    otherwise.  A float equal to its ``limit_denominator(10**6)`` is taken
-    as that rational, so 0.1 gives [0, 1/10].  Every convergent satisfies
-    |x - p/q| < 1/q^2.
+    Ints, Fractions, floats, Decimals and numeric strings are exact
+    rationals, and the exact expansion ends at that rational.  A float
+    equal to its ``limit_denominator(10**6)`` is taken as that rational
+    instead, so 0.1 gives [0, 1/10].  Every convergent p/q satisfies
+    |r - p/q| < 1/q^2, for r the rational expanded.
     """
     if depth < 1:
         raise InvalidParameterError("depth must be >= 1")
+    rem = Fraction(x)
     if isinstance(x, float):
-        r = Fraction(x).limit_denominator(10 ** 6)
-        x = r if float(r) == x else x
-    exact = isinstance(x, (int, Fraction))
-    rem: Optional[Fraction] = Fraction(x) if exact else None
-    if not exact:
-        with mp.workdps(60):
-            z = mp.mpf(x)
-
-    h_prev, h = 1, None
-    k_prev, k = 0, None
+        r = rem.limit_denominator(10 ** 6)
+        rem = r if float(r) == x else rem
+    h, h_prev, k, k_prev = 1, 0, 0, 1
     convergents: List[Fraction] = []
     for _ in range(depth + 1):
-        if exact:
-            a = math.floor(rem)
-            frac = rem - a
-        else:
-            with mp.workdps(60):
-                a = int(mp.floor(z))
-                frac = z - a
-        if h is None:
-            h, k = a, 1
-        else:
-            h, h_prev = a * h + h_prev, h
-            k, k_prev = a * k + k_prev, k
+        a = math.floor(rem)
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
         convergents.append(Fraction(h, k))
-        if exact and frac == 0:
+        rem -= a
+        if rem == 0:
             break
-        if not exact and frac < mp.mpf(10) ** -50:
-            break
-        rem = 1 / frac if exact else None
-        if not exact:
-            with mp.workdps(60):
-                z = 1 / frac
-    return convergents[:depth + 1]
+        rem = 1 / rem
+    return convergents
 
 
 def is_pisot(coeffs: Sequence[int]) -> PisotVerdict:

@@ -10,13 +10,13 @@ a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import mpmath as mp
 import numpy as np
 
-from .commensurability import log_commensurable
+from .commensurability import _log_ratio, log_commensurable
 from .dimension import _distance_to_union, _merge, ssc_gap
 from .errors import InvalidParameterError, PreconditionError
 from .similarity import (IFS, IDENTITY, Interval, Similarity, Word,
@@ -25,8 +25,6 @@ from .similarity import (IFS, IDENTITY, Interval, Similarity, Word,
 
 #: default re-verification resolution for family entries
 DEFAULT_DELTA0 = Fraction(1, 2 ** 12)
-
-_MP_DPS = 60
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ class RenormEntry:
     frac: float                       # fractional part of n * log a / log b
     frac_exact: Optional[Fraction]    # exact when the log-ratio is rational
     eta: float                        # induced scale
-    eta_exact: Optional[Fraction]     # exact when frac_exact == 0
+    eta_exact: Optional[Fraction]     # exact when the log-ratio is rational
     t: Fraction                       # induced translation (always exact)
     word: Word                        # the unique intersecting cylinder of E
     verified: bool
@@ -146,10 +144,10 @@ def _family(g: Similarity, F: IFS, E: IFS, phi: Similarity, index: int,
             "hypothesis violated: no certified SSC gap for the target IFS")
     kappa = cert.gap
     alpha = phi.ratio
-    gamma, b = g.ratio, g.translation
+    gamma = g.ratio
     union, los = _merged_cover(E, delta0)
-    # F's cover is kept for one resolution delta0/|eta| at a time: exact
-    # families reuse it for every entry, irrational ones rebuild it per entry
+    # F's cover is kept for one resolution delta0/|eta| at a time: entries
+    # with frac = 0 share one, the others rebuild it when eta changes
     res_f = delta0 / abs(gamma)
     cover_f = cylinder_cover(F, res_f)
     base = _verdict(g, cover_f, union, los, delta0)
@@ -168,9 +166,8 @@ def _family(g: Similarity, F: IFS, E: IFS, phi: Similarity, index: int,
         p += 1
     log_ratio = log_commensurable(alpha, beta).ratio
     if log_ratio is None:
-        with mp.workdps(_MP_DPS):
-            approx = mp.log(mp.mpf(alpha.numerator) / alpha.denominator) / \
-                mp.log(mp.mpf(beta.numerator) / beta.denominator)
+        ctx = Context(prec=60)
+        approx = _log_ratio(alpha, beta, ctx.prec)
     # with alpha, beta in (0, 1): n * log alpha / log beta > l exactly when
     # alpha^n < beta^l, so N and every l_n come from exact comparisons
     N = 1
@@ -195,44 +192,28 @@ def _family(g: Similarity, F: IFS, E: IFS, phi: Similarity, index: int,
             frac = float(frac_exact)
         else:
             frac_exact = None
-            with mp.workdps(_MP_DPS):
-                frac = float(approx * n - l_n)
-        d = l_n - p
-        if d < 0:
-            raise PreconditionError(
-                f"n={n}: l_n < p inside the admissible range")
+            frac = float(approx.fma(n, -l_n, ctx))    # one rounding
+        # n > N gives alpha^n < beta^p, so l_n >= p
         img = g.apply(comp.apply(hull_f))
-        word, psi = _locate_unique_cylinder(E, hull_e, img, d)
-        t_n = (gamma * comp.translation + b - psi.translation) / psi.ratio
-        if frac_exact == 0:
-            eta_exact: Optional[Fraction] = beta ** p * gamma
-            eta = float(eta_exact)
-        else:
-            eta_exact = None
-            with mp.workdps(_MP_DPS):
-                eta = float(mp.mpf(gamma.numerator) / gamma.denominator *
-                            mp.power(mp.mpf(beta.numerator) / beta.denominator,
-                                     p + mp.mpf(frac)))
-        if eta_exact is not None:
-            eta_ok = eta_lo <= eta_exact <= eta_hi
-        else:
-            eta_ok = float(eta_lo) - 1e-12 <= eta <= float(eta_hi) + 1e-12
-        if not eta_ok:
+        word, psi = _locate_unique_cylinder(E, hull_e, img, l_n - p)
+        g_n = compose(invert(psi), compose(g, comp))    # psi^-1 o g o phi^n
+        if not eta_lo <= g_n.ratio <= eta_hi:
             raise PreconditionError(
-                f"n={n}: induced scale {eta} outside [{eta_lo}, {eta_hi}]")
-        if not t_lo <= t_n <= t_hi:
+                f"n={n}: induced scale {g_n.ratio} outside "
+                f"[{eta_lo}, {eta_hi}]")
+        if not t_lo <= g_n.translation <= t_hi:
             raise PreconditionError(
-                f"n={n}: induced translation {t_n} outside "
+                f"n={n}: induced translation {g_n.translation} outside "
                 f"[{t_lo}, {t_hi}]")
-        g_n = Similarity(eta_exact if eta_exact is not None
-                         else Fraction(eta), t_n)
         res = delta0 / abs(g_n.ratio)
         if res != res_f:
             res_f, cover_f = res, cylinder_cover(F, res)
         verified = _verdict(g_n, cover_f, union, los,
                             delta0).status == "consistent"
-        entries.append(RenormEntry(n, l_n, frac, frac_exact, eta, eta_exact,
-                                   t_n, word, verified))
+        entries.append(RenormEntry(
+            n, l_n, frac, frac_exact, float(g_n.ratio),
+            g_n.ratio if frac_exact is not None else None, g_n.translation,
+            word, verified))
         if not verified:
             break  # a rejected induced embedding is the reportable outcome
     return RenormalizationFamily(g, index, kappa, c, p, N, alpha, beta,
@@ -288,9 +269,10 @@ def fractional_orbit(x, N: int) -> CoverageReport:
         pts = sorted({(xf * n) % 1 for n in range(1, N + 1)})
         points = np.array([float(v) for v in pts])
     else:
-        with mp.workdps(40):
-            z = mp.mpf(x)
-            vals = sorted({mp.frac(z * n) for n in range(1, N + 1)})
+        with localcontext(Context(prec=40)):
+            z = Decimal(x)
+            vals = sorted({v - v.to_integral_value(ROUND_FLOOR)
+                           for v in (z * n for n in range(1, N + 1))})
         points = np.array([float(v) for v in vals])
         # collapse duplicates introduced by float rounding
         if len(points) > 1:

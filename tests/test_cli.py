@@ -111,6 +111,10 @@ def test_renorm_csv(files, capsys):
     ("renorm_c13_negative_self.csv",
      ["renorm", "c13.json", "c13.json", "--g=-1/3,1/3", "--self-embedding",
       "--nmax", "30"]),
+    # irrational log ratio log(1/4)/log(1/3); the last entry is rejected
+    ("renorm_c14_in_c13.csv",
+     ["renorm", "c14.json", "c13.json", "--g", "1,0", "--nmax", "20",
+      "--res", "1/16"]),
 ])
 def test_renorm_out_matches_golden(files, capsys, monkeypatch, tmp_path,
                                    golden, argv):
@@ -182,6 +186,16 @@ def test_orbit(files, capsys):
     assert code == 0
     summary = dict(l.split(",") for l in out.splitlines()[-3:])
     assert int(summary["distinct_gap_lengths"]) <= 3
+
+
+@pytest.mark.parametrize("x", ["log(-1/2)/log(1/3)", "log(0)/log(1/3)",
+                               "log(1/2)/log(1)"])
+def test_orbit_log_ratio_off_the_reals_is_input_error(capsys, x):
+    code = main(["orbit", "--x", x, "--N", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not a real number" in captured.err
 
 
 def test_commensurable(files, capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ifslab import (IFS, InvalidParameterError, Similarity,
                     conjecture_exponents, continued_fraction, is_pisot,
                     log_commensurable)
+from ifslab.commensurability import _log_ratio
 
 
 M61, M89 = 2 ** 61 - 1, 2 ** 89 - 1    # Mersenne primes, no factor below 2^16
@@ -99,11 +100,23 @@ class TestLogCommensurable:
                                                       certificate)
 
     def test_import_loads_no_sympy(self):
-        code = ("import sys, ifslab; "
-                "print([m for m in sys.modules if m.startswith('sympy')])")
+        # with mpmath blocked, the irrational log-ratio paths must still run
+        code = (
+            "import math, sys; sys.modules['mpmath'] = None\n"
+            "from fractions import Fraction\n"
+            "import ifslab\n"
+            "from ifslab.cli import main\n"
+            "from ifslab.presets import C13, C14\n"
+            "assert main(['orbit', '--x', 'log(1/2)/log(1/3)',"
+            " '--N', '50']) == 0\n"
+            "fam = ifslab.renormalize_family(ifslab.IDENTITY, C14, C13, 1, 6,"
+            " Fraction(1, 16))\n"
+            "assert fam.log_ratio is None and fam.entries\n"
+            "assert len(ifslab.continued_fraction(math.pi, 8)) == 9\n"
+            "print([m for m in sys.modules if m.startswith('sympy')])")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert out.splitlines()[-1] == "[]"
 
     def test_round_trip_against_high_precision(self):
         cases = [(Fraction(1, 9), Fraction(1, 3)),
@@ -117,6 +130,16 @@ class TestLogCommensurable:
                 x = mp.log(mp.mpf(a.numerator) / a.denominator) / \
                     mp.log(mp.mpf(b.numerator) / b.denominator)
                 assert abs(x - mp.mpf(res.p) / res.q) < mp.mpf(2) ** -60
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=ratio_pairs(), digits=st.sampled_from([40, 60]))
+    def test_decimal_log_ratio_matches_high_precision(self, pair, digits):
+        a, b = pair
+        with mp.workdps(digits + 20):
+            want = mp.log(mp.mpf(a.numerator) / a.denominator) / \
+                mp.log(mp.mpf(b.numerator) / b.denominator)
+            got = mp.mpf(str(_log_ratio(a, b, digits)))
+            assert abs(got - want) <= abs(want) * mp.mpf(10) ** (3 - digits)
 
     @settings(max_examples=80, deadline=None)
     @given(pair=ratio_pairs())
@@ -209,6 +232,23 @@ class TestContinuedFraction:
     def test_rational_convergents_approximate(self, x, depth):
         for conv in continued_fraction(x, depth):
             assert abs(x - conv) < Fraction(1, conv.denominator ** 2)
+
+    def test_float_expands_exactly(self):
+        x = 0.33333333333333337     # one ulp above the float nearest 1/3
+        convs = continued_fraction(x, 5)
+        assert convs == [Fraction(0), Fraction(1, 2), Fraction(1, 3),
+                         Fraction(x)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False),
+           depth=st.integers(1, 40))
+    def test_float_convergents_approximate(self, x, depth):
+        # the rational expanded: x itself, or its limit_denominator(10**6)
+        # when that rounds back to x
+        r = Fraction(x).limit_denominator(10 ** 6)
+        exact = r if float(r) == x else Fraction(x)
+        for conv in continued_fraction(x, depth):
+            assert abs(exact - conv) < Fraction(1, conv.denominator ** 2)
 
     def test_invalid_depth(self):
         with pytest.raises(InvalidParameterError):

@@ -367,6 +367,26 @@ def test_renormalize_family_pinned_rejected_entry(k):
         assert e.verified == (verdict.status == "consistent")
 
 
+# C13 written as four maps of ratio 1/9, so log(1/3)/log(1/9) = 1/2
+C13_SQUARED = IFS(tuple(sim(Fraction(1, 9), Fraction(d, 9))
+                        for d in (0, 2, 6, 8)), "C13^2")
+
+
+def test_renormalize_family_pinned_half_log_ratio():
+    # odd n leave the fractional part 1/2, so the induced scale is
+    # 3^-n / 9^(l_n - p) = 1/243 rather than beta^p = 1/81
+    fam = renormalize_family(IDENTITY, C13, C13_SQUARED, 1, 12)
+    assert (fam.p, fam.N, fam.log_ratio) == (2, 5, Fraction(1, 2))
+    assert entry_fields(fam) == [
+        (n, n // 2, Fraction(n % 2, 2),
+         Fraction(1, 243) if n % 2 else Fraction(1, 81), Fraction(0),
+         (1,) * (n // 2 - 2), True) for n in range(6, 13)]
+    for e in fam.entries:
+        verdict = verify_embedding(Similarity(e.eta_exact, e.t), C13,
+                                   C13_SQUARED, embedding_module.DEFAULT_DELTA0)
+        assert e.verified == (verdict.status == "consistent")
+
+
 def test_family_cover_count_does_not_grow_with_n_max(monkeypatch):
     calls = [0]
     real = similarity_module.cylinder_cover
