@@ -206,7 +206,10 @@ def continued_fraction(x, depth: int) -> List[Fraction]:
     """
     if depth < 1:
         raise InvalidParameterError("depth must be >= 1")
-    rem = Fraction(x)
+    try:
+        rem = Fraction(x)
+    except (ValueError, OverflowError) as e:   # NaN, infinity, bad string
+        raise InvalidParameterError(f"not a finite real: {x!r}") from e
     if isinstance(x, float):
         r = rem.limit_denominator(10 ** 6)
         rem = r if float(r) == x else rem

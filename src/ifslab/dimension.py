@@ -8,10 +8,10 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import InvalidParameterError
-from .similarity import IFS, Interval, _hulls, attractor_hull
+from .similarity import IFS, Interval, _walk, attractor_hull
 
-# depth-4 refinement is tried first, deepening to 12 while inconclusive,
-# subject to a cap on the number of refined intervals per map
+# depth-4 refinement is tried first, deepening to 12 while inconclusive;
+# every depth d run, explicit or not, has len(ifs) ** d <= _MAX_INTERVALS
 _DEFAULT_DEPTH = 4
 _MAX_DEPTH = 12
 _MAX_INTERVALS = 65536
@@ -54,12 +54,6 @@ def similarity_dimension(ifs: IFS) -> float:
     return s
 
 
-def _level_intervals(ifs: IFS, depth: int) -> List[Interval]:
-    """Hull images of all words of exactly the given length, one level set."""
-    return [iv for _, iv in
-            _hulls(ifs, lambda word, _a, _d: len(word) == depth)]
-
-
 def _merge(intervals: List[Interval]) -> List[Interval]:
     """Union of closed intervals as a sorted disjoint list."""
     ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
@@ -86,40 +80,47 @@ def _distance_to_union(iv: Interval, union: List[Interval], los) -> Fraction:
 
 
 def _gap_at_depth(ifs: IFS, depth: int) -> Fraction:
-    """Certified lower bound for min_{i != j} d(phi_i(F), phi_j(F))."""
-    # phi_i of the depth-d level set is block i of the depth-(d + 1) one
-    level = _level_intervals(ifs, depth + 1)
-    size = len(level) // len(ifs)
-    covers = [level[k:k + size] for k in range(0, len(level), size)]
-    gap: Optional[Fraction] = None
-    for i in range(len(covers)):
-        for j in range(i + 1, len(covers)):
-            union = _merge(covers[j])
-            los = [u.lo for u in union]
-            for iv in covers[i]:
-                d = _distance_to_union(iv, union, los)
-                if gap is None or d < gap:
-                    gap = d
-                if gap == 0:
-                    return Fraction(0)
-    return gap
+    """Least lo(J) - hi(I) over level-(depth + 1) hulls I, J under different
+    first maps with lo(I) <= lo(J): when positive, the certified lower bound
+    for min_{i != j} d(phi_i(F), phi_j(F)); <= 0 when two such hulls touch
+    or overlap."""
+    hull = attractor_hull(ifs)
+    ln, ld = hull.lo.as_integer_ratio()
+    hn, hd = hull.hi.as_integer_ratio()
+    # every leaf has D = q^(depth + 1), so the hull ends (ratios are
+    # positive) are integers over the one denominator D * ld * hd
+    ends = []
+    for word, a, b, d in _walk(ifs, lambda w, _a, _d: len(w) == depth + 1):
+        ends.append(((a * ln + b * ld) * hd, (a * hn + b * hd) * ld, word[0]))
+    gap = math.inf
+    reach = [-math.inf] * (len(ifs) + 1)  # furthest right end per first map
+    for lo, hi, i in sorted(ends):
+        gap = min(gap, lo - max(reach[:i] + reach[i + 1:]))
+        reach[i] = max(reach[i], hi)
+    return Fraction(gap, d * ld * hd)
 
 
 def ssc_gap(ifs: IFS, depth: Optional[int] = None) -> SeparationCertificate:
     """Certified lower bound on the pairwise distance of first-level images.
 
-    With ``depth=None`` refinement starts at depth 4 and deepens (up to 12,
-    capped at 65536 refined intervals) while the covers still overlap; a
+    With ``depth=None`` refinement starts at depth 4 and deepens (up to 12)
+    while the covers still overlap and ``len(ifs) ** depth <= 65536``; the
+    level set at depth d holds ``len(ifs) ** (d + 1)`` hulls.  An explicit
+    depth past that cap raises `InvalidParameterError` before any work.  A
     ``none`` verdict is inconclusive, not a refutation.
     """
     if depth is not None:
         if depth < 0:
             raise InvalidParameterError("depth must be >= 0")
+        # len(ifs) >= 2, so a depth past the cap's bit length is over it
+        if depth >= _MAX_INTERVALS.bit_length() or \
+                len(ifs) ** depth > _MAX_INTERVALS:
+            raise InvalidParameterError(f"depth {depth} is over the cap "
+                                        f"len(ifs)^depth <= {_MAX_INTERVALS}")
         depths = [depth]
     else:
         depths = [d for d in range(_DEFAULT_DEPTH, _MAX_DEPTH + 1)
                   if len(ifs) ** d <= _MAX_INTERVALS] or [1]
-    gap = Fraction(0)
     for d in depths:
         gap = _gap_at_depth(ifs, d)
         if gap > 0:
@@ -130,17 +131,12 @@ def ssc_gap(ifs: IFS, depth: Optional[int] = None) -> SeparationCertificate:
 
 
 def check_osc_hull(ifs: IFS) -> SeparationCertificate:
-    """Sufficient OSC check with U = interior of the attractor hull.
-
-    A ``none`` verdict does not refute the OSC; only this witness fails.
+    """Sufficient OSC check with U = interior of the attractor hull, which
+    holds each of its images as ratios are positive: these may touch but
+    not overlap.  A ``none`` verdict does not refute the OSC.
     """
-    hull = attractor_hull(ifs)
-    images = sorted((m.apply(hull) for m in ifs.maps),
-                    key=lambda iv: (iv.lo, iv.hi))
-    # each image lies in the hull: attractor_hull is invariant under every
-    # map by construction, as ratios are positive
-    if all(images[k].hi <= images[k + 1].lo
-           for k in range(len(images) - 1)):
+    if _gap_at_depth(ifs, 0) >= 0:
+        hull = attractor_hull(ifs)
         return SeparationCertificate("OSC-hull", Fraction(0),
                                      f"U = int({hull.lo}, {hull.hi})")
     return SeparationCertificate("none", Fraction(0),

@@ -270,7 +270,9 @@ def fractional_orbit(x, N: int) -> CoverageReport:
         points = np.array([float(v) for v in pts])
     else:
         with localcontext(Context(prec=40)):
-            z = Decimal(x)
+            z = Decimal(x, Context(traps=[]))   # malformed text gives NaN
+            if not z.is_finite():
+                raise InvalidParameterError(f"not a finite real: {x!r}")
             vals = sorted({v - v.to_integral_value(ROUND_FLOOR)
                            for v in (z * n for n in range(1, N + 1))})
         points = np.array([float(v) for v in vals])

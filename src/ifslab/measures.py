@@ -67,7 +67,7 @@ class DyadicMeasure:
             raise InvalidParameterError("masses must be a nonempty 1-D array")
         if np.any(m < 0):
             raise InvalidParameterError("masses must be nonnegative")
-        if abs(float(m.sum()) - 1.0) > _MASS_TOL:
+        if not abs(float(m.sum()) - 1.0) <= _MASS_TOL:  # NaN fails too
             raise InvalidParameterError(
                 f"total mass {m.sum()} not within {_MASS_TOL} of 1")
         m = m.copy()
@@ -126,7 +126,7 @@ class ParamMeasure:
         g = np.asarray(self.grid, dtype=np.float64)
         if g.ndim != 2:
             raise InvalidParameterError("grid must be 2-D (scale x translation)")
-        if np.any(g < 0) or abs(float(g.sum()) - 1.0) > _MASS_TOL:
+        if np.any(g < 0) or not abs(float(g.sum()) - 1.0) <= _MASS_TOL:
             raise InvalidParameterError("grid must be a probability array")
         lo, hi = self.scale_range
         if lo <= 0.0 <= hi:
@@ -150,6 +150,8 @@ class ParamMeasure:
     @classmethod
     def uniform(cls, scale_range, trans_range, shape) -> "ParamMeasure":
         nx, ny = shape
+        if nx < 1 or ny < 1:
+            raise InvalidParameterError(f"grid shape {shape} has no cells")
         return cls(tuple(scale_range), tuple(trans_range),
                    np.full((nx, ny), 1.0 / (nx * ny)))
 
@@ -208,7 +210,7 @@ def self_similar_measure(ifs: IFS, weights, level: int) -> DyadicMeasure:
         if len(p) != len(ifs):
             raise InvalidParameterError(
                 f"got {len(p)} weights for {len(ifs)} maps")
-        if any(w < 0 for w in p) or abs(sum(p) - 1.0) > _MASS_TOL:
+        if any(w < 0 for w in p) or not abs(sum(p) - 1.0) <= _MASS_TOL:
             raise InvalidParameterError("weights must be a probability vector")
 
     hull = attractor_hull(ifs)
@@ -263,9 +265,9 @@ def shannon_entropy(theta: Union[DyadicMeasure, ParamMeasure],
                 "ParamMeasure entropy uses its own grid; omit partition_level")
         return _entropy_bits(theta.grid.ravel())
     n = theta.level if partition_level is None else partition_level
-    if n > theta.level:
+    if not 0 <= n <= theta.level:
         raise InvalidParameterError(
-            f"cannot refine a level-{theta.level} measure to level {n}")
+            f"partition level {n} outside 0..{theta.level}")
     return _entropy_bits(_coarsen(theta, n))
 
 

@@ -190,18 +190,6 @@ def _walk(ifs: IFS, stop: Callable[[Word, int, int], bool]
                 stack.append((word + (i,), a * r, a * t + bq, dq))
 
 
-def _hulls(ifs: IFS, stop: Callable[[Word, int, int], bool]
-           ) -> Iterator[Tuple[Word, Interval]]:
-    """(word, exact hull image) at each leaf of ``_walk(ifs, stop)``; ratios
-    are positive, so the ends keep their order."""
-    hull = attractor_hull(ifs)
-    ln, ld = hull.lo.as_integer_ratio()
-    hn, hd = hull.hi.as_integer_ratio()
-    for word, a, b, d in _walk(ifs, stop):
-        yield word, Interval(Fraction(a * ln + b * ld, d * ld),
-                             Fraction(a * hn + b * hd, d * hd))
-
-
 def cylinder_cover(ifs: IFS, delta: RationalLike):
     """Cylinder hulls of diameter <= delta covering the attractor.
 
@@ -212,6 +200,12 @@ def cylinder_cover(ifs: IFS, delta: RationalLike):
     delta = as_fraction(delta)
     if delta <= 0:
         raise InvalidParameterError("cover resolution delta must be > 0")
+    hull = attractor_hull(ifs)
+    ln, ld = hull.lo.as_integer_ratio()
+    hn, hd = hull.hi.as_integer_ratio()
     # the image's diameter (A / D) * diameter <= delta, cross-multiplied
-    u, v = (attractor_hull(ifs).diameter / delta).as_integer_ratio()
-    return list(_hulls(ifs, lambda _, a, d: a * u <= d * v))
+    u, v = (hull.diameter / delta).as_integer_ratio()
+    # ratios are positive, so the hull's ends keep their order
+    return [(word, Interval(Fraction(a * ln + b * ld, d * ld),
+                            Fraction(a * hn + b * hd, d * hd)))
+            for word, a, b, d in _walk(ifs, lambda _, a, d: a * u <= d * v)]

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,16 @@ def test_separation(files, capsys):
     assert doc["result"]["gap"] == "1/3"
 
 
+def test_separation_depth_over_cap_is_input_error(files, capsys):
+    start = time.perf_counter()
+    code = main(["separation", files["c13"], "--depth", "30"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert captured.out == ""
+    assert "depth 30" in captured.err
+
+
 def test_entropy_csv(files, capsys):
     code, out = run(capsys, "entropy", files["c13"], "--level", "14",
                     "--nmin", "4", "--nmax", "12")
@@ -67,6 +78,18 @@ def test_convolve_output_span_over_budget_is_input_error(files, capsys):
     assert code == 2
     assert captured.out == ""
     assert "cells" in captured.err and "budget" in captured.err
+
+
+def test_convolve_empty_grid_is_input_error(files, capsys, tmp_path):
+    nu = tmp_path / "empty.json"
+    nu.write_text(json.dumps({"scale": ["1/3", "1"], "trans": ["0", "0"],
+                              "grid": [0, 1]}))
+    code = main(["convolve", str(nu), files["c13"], "--level", "8",
+                 "--out-level", "6", "--nmin", "2", "--nmax", "6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no cells" in captured.err
 
 
 def test_convolve_csv(files, capsys):

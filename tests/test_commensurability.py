@@ -68,6 +68,14 @@ class TestLogCommensurable:
         with pytest.raises(InvalidParameterError):
             log_commensurable(Fraction(3, 2), Fraction(1, 2))
 
+    @pytest.mark.parametrize("alpha,beta", [(1, Fraction(1, 3)),
+                                            (0, Fraction(1, 3)),
+                                            (Fraction(1, 3), 1)])
+    def test_range_ends_rejected(self, alpha, beta):
+        # log(1) / log(3) = 0 is rational, but 1 is no contraction ratio
+        with pytest.raises(InvalidParameterError, match="outside"):
+            log_commensurable(alpha, beta)
+
     def test_large_power_is_rational(self):
         # 3^-81 has 129 bits; its verdict is exact all the same
         res = log_commensurable(Fraction(1, 3 ** 81), Fraction(1, 3))
@@ -253,6 +261,11 @@ class TestContinuedFraction:
     def test_invalid_depth(self):
         with pytest.raises(InvalidParameterError):
             continued_fraction(0.5, 0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_rejected(self, x):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            continued_fraction(x, 3)
 
 
 class TestIsPisot:

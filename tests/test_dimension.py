@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction
 
-from ifslab import (IFS, Similarity, check_osc_hull, similarity_dimension,
-                    ssc_gap)
+import pytest
+
+from ifslab import (IFS, InvalidParameterError, Similarity, check_osc_hull,
+                    similarity_dimension, ssc_gap)
 from ifslab.presets import C13, C14, HALVES, cantor
 
 
@@ -60,6 +62,20 @@ class TestSscGap:
             prev = cert.gap
         # the certified bound never exceeds the true hull distance 1/5
         assert prev <= Fraction(1, 5)
+
+    def test_deepening_reaches_the_cap(self):
+        # 4^8 intervals per map is exactly the cap, so depth 8 is the last
+        f4 = IFS(tuple(sim(Fraction(1, 3), t) for t in
+                       (0, Fraction(2, 9), Fraction(4, 9), Fraction(2, 3))))
+        assert ssc_gap(f4).witness == "covers overlap at depth 8"
+
+    def test_explicit_depth_over_cap_rejected(self):
+        # 2^16 intervals per map is exactly the cap
+        assert ssc_gap(C13, 16).witness == "cylinder covers at depth 16"
+        for ifs, depth in ((C13, 17), (C13, 10 ** 9),
+                           (IFS(C13.maps * 2), 9)):
+            with pytest.raises(InvalidParameterError, match="cap"):
+                ssc_gap(ifs, depth)
 
     def test_ssc_implies_osc_hull(self):
         for ifs in (C13, C14, cantor(Fraction(3, 10))):

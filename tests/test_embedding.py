@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifslab import (IDENTITY, IFS, InvalidParameterError, PreconditionError,
-                    Similarity, compose, fractional_orbit,
-                    renormalize_family, self_embedding_family,
-                    verify_embedding)
+from ifslab import (IDENTITY, IFS, Interval, InvalidParameterError,
+                    PreconditionError, Similarity, compose, cylinder_map,
+                    fractional_orbit, renormalize_family,
+                    self_embedding_family, verify_embedding)
 import ifslab.embedding as embedding_module
 from ifslab.presets import C13, C14, C19, HALVES
 
@@ -158,6 +158,18 @@ class TestRenormalizeFamily:
             renormalize_family(IDENTITY, C19, C13, 1, 10)
 
 
+class TestLocateUniqueCylinder:
+    @pytest.mark.parametrize("x,word", [(Fraction(1, 3), (1, 2)),
+                                        (Fraction(2, 3), (2, 1))])
+    def test_target_touching_hull_ends_is_a_hit(self, x, word):
+        # 1/3 is the right end of the hulls of cylinders 1 and 12, and 2/3
+        # the left end of those of 2 and 21
+        got, psi = embedding_module._locate_unique_cylinder(
+            C13, Interval(0, 1), Interval(x, x), 2)
+        assert got == word
+        assert psi == cylinder_map(C13, word)
+
+
 class TestSelfEmbeddingFamily:
     def test_first_map_itself(self):
         fam = self_embedding_family(C13.maps[0], C13, 25)
@@ -215,3 +227,8 @@ class TestFractionalOrbit:
     def test_invalid_count(self):
         with pytest.raises(InvalidParameterError):
             fractional_orbit(0.5, 0)
+
+    def test_unparsed_log_ratio_rejected(self):
+        # the CLI evaluates this text; the library takes numbers
+        with pytest.raises(InvalidParameterError, match="finite"):
+            fractional_orbit("log(1/2)/log(1/3)", 5)

@@ -51,6 +51,10 @@ class TestSelfSimilarMeasure:
         with pytest.raises(InvalidParameterError):
             self_similar_measure(C13, [0.5, 0.25, 0.25], 4)
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(InvalidParameterError, match="probability"):
+            self_similar_measure(C13, [float("nan"), 1.0], 4)
+
     def test_matches_brute_force_oracle(self):
         # at level 16 the builder stops every branch at depth 11
         # (3^-11 <= 2^-16 < 3^-10), so the oracle at the same depth bins
@@ -117,6 +121,14 @@ class TestShannonEntropy:
     def test_refinement_rejected(self):
         with pytest.raises(InvalidParameterError):
             shannon_entropy(DyadicMeasure.uniform(4), 5)
+
+    def test_negative_partition_level_rejected(self):
+        with pytest.raises(InvalidParameterError, match="partition level"):
+            shannon_entropy(DyadicMeasure.uniform(4), -1)
+
+    def test_nan_masses_rejected(self):
+        with pytest.raises(InvalidParameterError, match="total mass"):
+            DyadicMeasure(4, 0, np.array([float("nan"), 1.0]))
 
     def test_param_measure_entropy(self):
         nu = ParamMeasure.uniform((0.5, 1.0), (0.0, 1.0), (4, 4))
@@ -210,6 +222,16 @@ class TestActConvolve:
         nu = ParamMeasure.uniform((1.0 / 3.0, 1.0), (0.0, 0.0), (200, 1))
         conv = act_convolve(nu, mu, 14)
         assert shannon_entropy(conv, 14) / 14 > shannon_entropy(mu, 14) / 14
+
+    def test_nan_grid_rejected(self):
+        with pytest.raises(InvalidParameterError, match="probability"):
+            ParamMeasure((0.5, 1.0), (0.0, 0.0),
+                         np.array([[float("nan"), 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 1), (3, 0)])
+    def test_empty_uniform_grid_rejected(self, shape):
+        with pytest.raises(InvalidParameterError, match="no cells"):
+            ParamMeasure.uniform((0.5, 1.0), (0.0, 0.0), shape)
 
     def test_zero_scale_center_rejected(self):
         mu = DyadicMeasure.uniform(4)

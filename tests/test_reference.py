@@ -2,12 +2,14 @@
 descent and the measure readers, and pinned renormalization families.
 
 The three reference loops below are the stand-alone expansions that
-`cylinder_cover`, `self_similar_measure` and `dimension._level_intervals`
-once carried each.  The library must reproduce them exactly: the same
+`cylinder_cover`, `self_similar_measure` and the separation gap once
+carried each.  The library must reproduce them exactly: the same
 (word, interval) lists, the same measure origin and bit-identical masses.
 The integer cylinder walk must give, at every node, the ratio and
-translation of `cylinder_map`, and the separation gap must equal the one
-taken by applying each first-level map to a level set.  The reference
+translation of `cylinder_map`.  The separation sweep, clamped at 0, must
+equal the gap taken by applying each first-level map to a level set and
+merging, and its depth-0 sign must give the verdict of the sorted scan of
+the hull's images that `check_osc_hull` once ran.  The reference
 descent recomposes each candidate cylinder from the root; the library's
 descent must find the same word and cylinder map, or fail at the same
 depth.  The dense coarsening, the per-cell `Fraction`
@@ -33,12 +35,12 @@ import ifslab.measures as measures_module
 import ifslab.similarity as similarity_module
 from ifslab import (IDENTITY, IFS, DyadicMeasure, Interval, ParamMeasure,
                     PreconditionError, Similarity, act_convolve,
-                    attractor_hull, compose, cylinder_cover, cylinder_map,
-                    entropy_dimension, pushforward, renormalize_family,
-                    self_embedding_family, self_similar_measure,
-                    shannon_entropy, similarity_dimension, verify_embedding)
-from ifslab.dimension import (_distance_to_union, _gap_at_depth,
-                              _level_intervals, _merge)
+                    attractor_hull, check_osc_hull, compose, cylinder_cover,
+                    cylinder_map, entropy_dimension, pushforward,
+                    renormalize_family, self_embedding_family,
+                    self_similar_measure, shannon_entropy,
+                    similarity_dimension, verify_embedding)
+from ifslab.dimension import _distance_to_union, _gap_at_depth, _merge
 from ifslab.presets import C13, C14, C19, HALVES
 
 
@@ -128,6 +130,22 @@ def ref_gap_at_depth(ifs, depth):
     return gap
 
 
+def ref_check_osc_hull(ifs):
+    """Sorts the hull's images and scans consecutive pairs for overlap."""
+    hull = attractor_hull(ifs)
+    images = sorted((m.apply(hull) for m in ifs.maps),
+                    key=lambda iv: (iv.lo, iv.hi))
+    if all(images[k].hi <= images[k + 1].lo for k in range(len(images) - 1)):
+        return "OSC-hull"
+    return "none"
+
+
+def assert_same_separation(ifs, depth):
+    assert max(Fraction(0), _gap_at_depth(ifs, depth)) == \
+        ref_gap_at_depth(ifs, depth)
+    assert check_osc_hull(ifs).kind == ref_check_osc_hull(ifs)
+
+
 def ref_locate_unique_cylinder(E, hull, target, depth):
     """Descent that recomposes every candidate cylinder from the root."""
     word = []
@@ -189,8 +207,9 @@ def test_measure_matches_reference(ifs, level):
 
 @over_corpus
 def test_level_intervals_match_reference(ifs, level):
+    # the sweep of each level set gives the reference gap and OSC verdict
     for depth in range(0, 6 if len(ifs) == 2 else 5):
-        assert _level_intervals(ifs, depth) == ref_level_intervals(ifs, depth)
+        assert_same_separation(ifs, depth)
 
 
 small_ratios = st.sampled_from([Fraction(1, 2), Fraction(1, 3),
@@ -211,7 +230,7 @@ def test_walk_matches_reference_property(ifs, k, depth, raw):
     # ratios <= 1/2 and delta >= 2^-5 keep every expansion under 3^8 nodes
     delta = Fraction(1, 2 ** k)
     assert cylinder_cover(ifs, delta) == ref_cylinder_cover(ifs, delta)
-    assert _level_intervals(ifs, depth) == ref_level_intervals(ifs, depth)
+    assert_same_separation(ifs, depth)
     w = raw[:len(ifs)]
     if sum(w) == 0.0:
         w[0] = 1.0
@@ -252,7 +271,30 @@ def test_integer_walk_matches_cylinder_maps_property(ifs, k, depth):
     for word, a, b, d in leaves:
         g = cylinder_map(ifs, word)
         assert (Fraction(a, d), Fraction(b, d)) == (g.ratio, g.translation)
-    assert _gap_at_depth(ifs, depth) == ref_gap_at_depth(ifs, depth)
+    assert_same_separation(ifs, depth)
+
+
+@st.composite
+def separation_cases(draw):
+    """2-4 maps, of one ratio or several, spread evenly (so often separated)
+    or translated at random (so often overlapping), and a depth of 0-4."""
+    m = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        ratios = [draw(small_ratios)] * m
+    else:
+        ratios = draw(st.lists(small_ratios, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        shifts = draw(st.permutations([Fraction(k, m) for k in range(m)]))
+    else:
+        shifts = draw(st.lists(small_translations, min_size=m, max_size=m))
+    return (IFS(tuple(Similarity(r, t) for r, t in zip(ratios, shifts))),
+            draw(st.integers(0, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=separation_cases())
+def test_separation_sweep_matches_reference_property(case):
+    assert_same_separation(*case)
 
 
 def descent_outcome(locate, E, hull, target, depth):
