@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import InvalidParameterError
-from .similarity import IFS, Interval, _walk, attractor_hull
+from .similarity import IFS, Interval, _hull_ends, attractor_hull
 
 # depth-4 refinement is tried first, deepening to 12 while inconclusive;
 # every depth d run, explicit or not, has len(ifs) ** d <= _MAX_INTERVALS
@@ -81,23 +81,18 @@ def _distance_to_union(iv: Interval, union: List[Interval], los) -> Fraction:
 
 def _gap_at_depth(ifs: IFS, depth: int) -> Fraction:
     """Least lo(J) - hi(I) over level-(depth + 1) hulls I, J under different
-    first maps with lo(I) <= lo(J): when positive, the certified lower bound
-    for min_{i != j} d(phi_i(F), phi_j(F)); <= 0 when two such hulls touch
-    or overlap."""
-    hull = attractor_hull(ifs)
-    ln, ld = hull.lo.as_integer_ratio()
-    hn, hd = hull.hi.as_integer_ratio()
-    # every leaf has D = q^(depth + 1), so the hull ends (ratios are
-    # positive) are integers over the one denominator D * ld * hd
-    ends = []
-    for word, a, b, d in _walk(ifs, lambda w, _a, _d: len(w) == depth + 1):
-        ends.append(((a * ln + b * ld) * hd, (a * hn + b * hd) * ld, word[0]))
-    gap = math.inf
-    reach = [-math.inf] * (len(ifs) + 1)  # furthest right end per first map
-    for lo, hi, i in sorted(ends):
-        gap = min(gap, lo - max(reach[:i] + reach[i + 1:]))
-        reach[i] = max(reach[i], hi)
-    return Fraction(gap, d * ld * hd)
+    first maps, lo(I) <= lo(J): if > 0, a certified lower bound for
+    min_{i != j} d(phi_i(F), phi_j(F)); <= 0 if two such hulls meet."""
+    leaves = list(_hull_ends(ifs, lambda w, _a, _d: len(w) == depth + 1))
+    # integers only: an inf sentinel makes lo a float, overflowing past 1e308
+    gaps, reach = [], {}  # reach: furthest right end per first map so far
+    for lo, hi, i in sorted((lo, hi, w[0]) for w, lo, hi, _ in leaves):
+        others = [r for k, r in reach.items() if k != i]
+        if others:
+            gaps.append(lo - max(others))
+        reach[i] = max(reach.get(i, hi), hi)
+    # len(ifs) >= 2, so some hull follows one under another first map
+    return Fraction(min(gaps), leaves[0][3])
 
 
 def ssc_gap(ifs: IFS, depth: Optional[int] = None) -> SeparationCertificate:
@@ -109,18 +104,17 @@ def ssc_gap(ifs: IFS, depth: Optional[int] = None) -> SeparationCertificate:
     depth past that cap raises `InvalidParameterError` before any work.  A
     ``none`` verdict is inconclusive, not a refutation.
     """
-    if depth is not None:
-        if depth < 0:
-            raise InvalidParameterError("depth must be >= 0")
-        # len(ifs) >= 2, so a depth past the cap's bit length is over it
-        if depth >= _MAX_INTERVALS.bit_length() or \
-                len(ifs) ** depth > _MAX_INTERVALS:
-            raise InvalidParameterError(f"depth {depth} is over the cap "
-                                        f"len(ifs)^depth <= {_MAX_INTERVALS}")
+    # len(ifs) >= 2, so no depth past the cap's bit length is under it
+    capped = [d for d in range(_MAX_INTERVALS.bit_length())
+              if len(ifs) ** d <= _MAX_INTERVALS]
+    if depth is None:
+        depths = [d for d in capped
+                  if _DEFAULT_DEPTH <= d <= _MAX_DEPTH] or [1]
+    elif depth in capped:
         depths = [depth]
     else:
-        depths = [d for d in range(_DEFAULT_DEPTH, _MAX_DEPTH + 1)
-                  if len(ifs) ** d <= _MAX_INTERVALS] or [1]
+        raise InvalidParameterError(f"depth {depth} outside 0..{capped[-1]}, "
+                                    f"the cap len(ifs)^d <= {_MAX_INTERVALS}")
     for d in depths:
         gap = _gap_at_depth(ifs, d)
         if gap > 0:

@@ -190,6 +190,18 @@ def _walk(ifs: IFS, stop: Callable[[Word, int, int], bool]
                 stack.append((word + (i,), a * r, a * t + bq, dq))
 
 
+def _hull_ends(ifs: IFS, stop: Callable[[Word, int, int], bool]
+               ) -> Iterator[Tuple[Word, int, int, int]]:
+    """The leaves of `_walk` as ``(word, lo, hi, den)``, hull [lo/den, hi/den]:
+    den = D * ld * hd for hull ends ln/ld, hn/hd, one per depth."""
+    hull = attractor_hull(ifs)
+    ln, ld = hull.lo.as_integer_ratio()
+    hn, hd = hull.hi.as_integer_ratio()
+    # ratios are positive, so the hull's ends keep their order
+    for word, a, b, d in _walk(ifs, stop):
+        yield word, (a * ln + b * ld) * hd, (a * hn + b * hd) * ld, d * ld * hd
+
+
 def cylinder_cover(ifs: IFS, delta: RationalLike):
     """Cylinder hulls of diameter <= delta covering the attractor.
 
@@ -200,12 +212,8 @@ def cylinder_cover(ifs: IFS, delta: RationalLike):
     delta = as_fraction(delta)
     if delta <= 0:
         raise InvalidParameterError("cover resolution delta must be > 0")
-    hull = attractor_hull(ifs)
-    ln, ld = hull.lo.as_integer_ratio()
-    hn, hd = hull.hi.as_integer_ratio()
     # the image's diameter (A / D) * diameter <= delta, cross-multiplied
-    u, v = (hull.diameter / delta).as_integer_ratio()
-    # ratios are positive, so the hull's ends keep their order
-    return [(word, Interval(Fraction(a * ln + b * ld, d * ld),
-                            Fraction(a * hn + b * hd, d * hd)))
-            for word, a, b, d in _walk(ifs, lambda _, a, d: a * u <= d * v)]
+    u, v = (attractor_hull(ifs).diameter / delta).as_integer_ratio()
+    return [(word, Interval(Fraction(lo, den), Fraction(hi, den)))
+            for word, lo, hi, den in
+            _hull_ends(ifs, lambda _, a, d: a * u <= d * v)]

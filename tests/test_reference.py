@@ -40,7 +40,8 @@ from ifslab import (IDENTITY, IFS, DyadicMeasure, Interval, ParamMeasure,
                     renormalize_family, self_embedding_family,
                     self_similar_measure, shannon_entropy,
                     similarity_dimension, verify_embedding)
-from ifslab.dimension import _distance_to_union, _gap_at_depth, _merge
+from ifslab.dimension import (_distance_to_union, _gap_at_depth, _merge,
+                              ssc_gap)
 from ifslab.presets import C13, C14, C19, HALVES
 
 
@@ -295,6 +296,19 @@ def separation_cases(draw):
 @given(case=separation_cases())
 def test_separation_sweep_matches_reference_property(case):
     assert_same_separation(*case)
+
+
+def test_separation_sweep_past_the_float_range():
+    # at depth 12 the common denominator is about (3 * 10^30)^13 * 10^60,
+    # so a float anywhere in the sweep would overflow
+    eps = Fraction(1, 10 ** 30)
+    touching = IFS((Similarity(Fraction(1, 2), 0),
+                    Similarity(Fraction(1, 2), Fraction(1, 2) - eps)))
+    assert ssc_gap(touching).witness == "covers overlap at depth 12"
+    assert_same_separation(touching, 12)
+    separated = IFS((Similarity(Fraction(1, 3), 0),
+                     Similarity(Fraction(1, 3), Fraction(2, 3) - eps)))
+    assert ssc_gap(separated, 12).gap == ref_gap_at_depth(separated, 12)
 
 
 def descent_outcome(locate, E, hull, target, depth):
